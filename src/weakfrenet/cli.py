@@ -3,8 +3,8 @@ studies on curve models, dump force-measure tables, search for the torsion
 non-monotonicity witness, and lift projective polylines.
 
 Reports are JSON (schema 1) on stdout; polylines are CSV files for
-plotting.  Exit codes: 0 ok, 2 parse/validation error, 3 non-convergence,
-4 search failure.
+plotting.  Exit codes: 0 ok, 2 parse/validation or any other package error,
+3 non-convergence, 4 search failure.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from . import forces, weak
 from .curves import make_curve
 from .errors import (
     AmbiguousReturnPoint,
-    DegeneratePolygonal,
     NotConverged,
     ParseError,
     SearchFailed,
-    UnknownModel,
     WeakFrenetError,
     ZeroTorsion,
 )
@@ -529,15 +527,15 @@ def main(argv=None):
         parser.error("forces needs --input or --model")
     try:
         return args.func(args)
-    except (ParseError, DegeneratePolygonal, UnknownModel, ValueError) as exc:
-        print(json.dumps({"schema": 1, "status": "error", "error": str(exc)}))
-        return EXIT_PARSE
     except NotConverged as exc:
         print(json.dumps({"schema": 1, "status": "not-converged", "error": str(exc)}))
         return EXIT_NOT_CONVERGED
     except SearchFailed as exc:
         print(json.dumps({"schema": 1, "status": "search-failed", "error": str(exc)}))
         return EXIT_SEARCH_FAILED
+    except (WeakFrenetError, ValueError) as exc:
+        print(json.dumps({"schema": 1, "status": "error", "error": str(exc)}))
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

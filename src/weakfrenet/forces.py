@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnboundedVariationWarning, ZeroTorsionDensity
 from .polygonal import Polygonal3, discrete_frenet
-from .sphere import sphere_distance, unit
+from .sphere import unit
 
 CORNER_THRESHOLD = 0.3  # rad; refinement junctions stay far below this
 
@@ -171,32 +171,16 @@ def _invert_table(s_grid, cum, values):
     return np.interp(values, cum, s_grid)
 
 
-def _polyline_corners(polyline, threshold, projective=False):
-    """(param, incoming tangent, outgoing tangent, turn) at breakpoints whose
-    turning angle exceeds threshold; trivial arcs are skipped.
-
-    With projective=True the turn is folded into [0, pi/2]: derivative jumps
-    are compared as projective classes, so a reversal of the lift is not a
-    corner (the sign belongs to the lift, not to the RP^2 curve).
-    """
-    pts = polyline.points
-    cum = polyline.cum_length
-    seg = np.diff(cum)
-    live = np.where(seg > 1e-12)[0]
-    corners = []
-    for prev, cur in zip(live[:-1], live[1:]):
-        a_in, b_in = pts[prev], pts[prev + 1]
-        th_in = float(sphere_distance(a_in, b_in))
-        t_in = (np.cos(th_in) * b_in - a_in) / np.sin(th_in)
-        a_out, b_out = pts[cur], pts[cur + 1]
-        th_out = float(sphere_distance(a_out, b_out))
-        t_out = (b_out - np.cos(th_out) * a_out) / np.sin(th_out)
-        turn = float(sphere_distance(t_in, t_out))
-        if projective:
-            turn = min(turn, np.pi - turn)
-        if turn > threshold:
-            corners.append((float(cum[cur]), t_in, t_out, turn))
-    return corners
+def _corner_atoms(polyline, total, threshold):
+    """Atoms t_out - t_in at the corners of `polyline` that turn by more than
+    threshold; trivial arcs are skipped.  Corner parameters are rescaled from
+    the discrete curve's domain [0, C_h] onto the limit domain [0, total]
+    (constant-speed matching)."""
+    c = polyline.corners(min_arc=1e-12)
+    big = c.turn > threshold
+    length = polyline.total_length
+    params = c.params[big] * (total / length if length > 0 else 1.0)
+    return tuple(zip(params.tolist(), c.t_out[big] - c.t_in[big]))
 
 
 def torsion_force(
@@ -230,16 +214,9 @@ def torsion_force(
         ratio = np.where(np.abs(k) > 1e-300, tau / k, 0.0)
     values = ratio[:, None] * bvec
 
-    # corner parameters are rescaled from the discrete curve's domain
-    # [0, C_h] onto the limit domain [0, TC(c)] (constant-speed matching)
-    atoms = []
     poly = t_c.curve if hasattr(t_c, "curve") else t_c
-    scale = total / poly.total_length if poly.total_length > 0 else 1.0
-    for param, t_in, t_out, _ in _polyline_corners(poly, corner_threshold):
-        atoms.append((param * scale, t_out - t_in))
-
     return VectorMeasure(
-        atoms=tuple(atoms),
+        atoms=_corner_atoms(poly, total, corner_threshold),
         density_params=params,
         density_values=values,
         density_steps=np.full(n_density, step),
@@ -281,16 +258,9 @@ def binormal_variation(
         ratio = np.where(np.abs(tau) > 1e-12, np.sign(tau) * k / np.abs(tau), 0.0)
     values = ratio[:, None] * nvec
 
-    atoms = []
     poly = b_c.curve if hasattr(b_c, "curve") else b_c
-    scale = total / poly.total_length if poly.total_length > 0 else 1.0
-    for param, t_in, t_out, _ in _polyline_corners(
-        poly, corner_threshold, projective=True
-    ):
-        atoms.append((param * scale, t_out - t_in))
-
     return VectorMeasure(
-        atoms=tuple(atoms),
+        atoms=_corner_atoms(poly, total, corner_threshold),
         density_params=params,
         density_values=values,
         density_steps=np.full(n_density, step),

@@ -18,11 +18,9 @@ from .errors import DegeneratePolygonal, SearchFailed, ZeroTorsion
 from .sphere import (
     GeodesicPolyline,
     ScheduledPath,
-    arc_tangent,
     fold_angle,
     lift_signs,
-    slerp,
-    sphere_distance,
+    split_long_arcs,
     unit,
 )
 
@@ -424,24 +422,7 @@ def normal_indicatrix(P):
     dur, t_pts, b_pts = _interleave_arrays(P)
     if float(np.sum(dur)) <= 0:
         raise DegeneratePolygonal("TC + TAT vanishes")
-    pts = unit(np.cross(b_pts, t_pts))
-    cum = np.concatenate([[0.0], np.cumsum(dur)])
-
-    long_arcs = np.where(dur > _MAX_PIECE)[0]
-    if long_arcs.size:
-        pts_list = [pts[: long_arcs[0] + 1]]
-        cum_list = [cum[: long_arcs[0] + 1]]
-        for which, idx in enumerate(long_arcs):
-            pieces = int(np.ceil(dur[idx] / _MAX_PIECE))
-            lam = np.arange(1, pieces) / pieces
-            pts_list.append(slerp(pts[idx], pts[idx + 1], lam))
-            cum_list.append(cum[idx] + lam * dur[idx])
-            stop = long_arcs[which + 1] + 1 if which + 1 < long_arcs.size else len(dur) + 1
-            pts_list.append(pts[idx + 1 : stop])
-            cum_list.append(cum[idx + 1 : stop])
-        pts = np.vstack(pts_list)
-        cum = np.concatenate(cum_list)
-
+    pts, cum = split_long_arcs(unit(np.cross(b_pts, t_pts)), _MAX_PIECE, dur)
     curve = GeodesicPolyline(pts, "projective", cum)
     inner = (dur[:-1] > 0.0) & (dur[1:] > 0.0)
     curve.schedule_junctions = np.cumsum(dur)[:-1][inner]
@@ -452,19 +433,17 @@ def normal_indicatrix(P):
 
 
 def turning_angle_at(curve, param, atol=1e-9):
-    """Turning angle of a polyline at the breakpoint with parameter `param`,
-    measured between the nearest nontrivial arcs on each side."""
+    """Turn of a polyline at the breakpoint with parameter `param`, measured
+    between the nearest nontrivial arcs on each side: the row of the corner
+    table there, so folded into [0, pi/2] on RP^2."""
     idx = int(np.argmin(np.abs(curve.cum_length - param)))
     if abs(curve.cum_length[idx] - param) > atol:
         raise ValueError("no breakpoint at the requested parameter")
-    seg = curve.arc_lengths()
-    before = next((j for j in range(idx - 1, -1, -1) if seg[j] > atol), None)
-    after = next((j for j in range(idx, len(seg)) if seg[j] > atol), None)
-    if before is None or after is None:
+    c = curve.corners(min_arc=atol)
+    row = int(np.searchsorted(c.arc_out, idx))  # first live arc starting at or after idx
+    if row == c.arc_out.size or c.arc_in[row] >= idx:
         raise ValueError("no nontrivial arc on one side of the breakpoint")
-    t_in = arc_tangent(curve.points[before], curve.points[before + 1], at_end=True)
-    t_out = arc_tangent(curve.points[after], curve.points[after + 1])
-    return float(sphere_distance(t_in, t_out))
+    return float(c.turn[row])
 
 
 # ---------------------------------------------------------------------------

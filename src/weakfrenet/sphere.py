@@ -93,39 +93,43 @@ class ProjPoint:
 def slerp(a, b, lam):
     """Constant-speed point(s) on the minimal geodesic arc from a to b.
 
-    lam may be a scalar or an array; the result has shape lam.shape + (3,).
-    Raises AntipodalPair when the arc is not unique.
+    a and b have shape (..., 3) and broadcast with lam (scalar or array);
+    the result has the broadcast shape + (3,).  Raises AntipodalPair when an
+    arc is not unique.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    theta = float(sphere_distance(a, b))
-    if theta > np.pi - EPS_ANTIPODAL:
+    theta = sphere_distance(a, b)
+    if np.any(theta > np.pi - EPS_ANTIPODAL):
         raise AntipodalPair("slerp between (nearly) antipodal points")
     lam = np.asarray(lam, dtype=float)
-    if theta < EPS_ANTIPODAL:
-        return np.broadcast_to(a, lam.shape + (3,)).copy()
+    short = theta < EPS_ANTIPODAL
+    sin_t = np.where(short, 1.0, np.sin(theta))[..., None]
     out = (np.sin((1.0 - lam) * theta)[..., None] * a
-           + np.sin(lam * theta)[..., None] * b) / np.sin(theta)
-    return out
+           + np.sin(lam * theta)[..., None] * b) / sin_t
+    return np.where(short[..., None], a, out)
 
 
 def arc_tangent(a, b, at_end=False):
-    """Unit tangent, in the direction of travel, of the geodesic arc a -> b;
-    evaluated at a by default, at b with at_end=True."""
-    theta = float(sphere_distance(a, b))
-    if theta < EPS_ANTIPODAL or theta > np.pi - EPS_ANTIPODAL:
+    """Unit tangent(s), in the direction of travel, of the geodesic arc(s)
+    a -> b (shape (..., 3)); evaluated at a by default, at b with at_end=True."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    theta = sphere_distance(a, b)
+    if np.any((theta < EPS_ANTIPODAL) | (theta > np.pi - EPS_ANTIPODAL)):
         raise DegenerateArc("arc too short or antipodal to carry a direction")
+    cos_t, sin_t = np.cos(theta)[..., None], np.sin(theta)[..., None]
     if at_end:
-        return (np.cos(theta) * b - a) / np.sin(theta)
-    return (b - np.cos(theta) * a) / np.sin(theta)
+        return (cos_t * b - a) / sin_t
+    return (b - cos_t * a) / sin_t
 
 
 def arc_angle_at_junction(prev_start, mid, next_end):
     """Oriented turning angle at mid between the arcs prev_start -> mid and
     mid -> next_end, in [0, pi].  Callers fold into [0, pi/2] for torsion."""
-    t_in = arc_tangent(prev_start, mid, at_end=True)
-    t_out = arc_tangent(mid, next_end)
-    return float(sphere_distance(t_in, t_out))
+    path = GeodesicPolyline([prev_start, mid, next_end], "sphere")
+    # every arc counts as live, so a zero-length one raises DegenerateArc
+    return float(path.corners(min_arc=-np.inf).turn[0])
 
 
 def veronese(v):
@@ -209,36 +213,52 @@ class GeodesicPolyline:
     def arc_lengths(self):
         return np.diff(self.cum_length)
 
+    def corners(self, min_arc=1e-9):
+        """Corner table: one row per pair of consecutive live arcs (arcs
+        longer than min_arc; the stalls between them are skipped).
+
+        The turn is the angle between the incoming and outgoing unit
+        tangents.  On RP^2 one-sided derivatives are compared as projective
+        classes, so the turn is folded into [0, pi/2]: a reversal of the
+        lift is not a corner.  Raises DegenerateArc when a live arc is too
+        short or antipodal to carry a direction.
+        """
+        live = np.flatnonzero(self.arc_lengths() > min_arc)
+        arc_in, arc_out = live[:-1], live[1:]
+        t_in = arc_tangent(self.points[arc_in], self.points[arc_in + 1], at_end=True)
+        t_out = arc_tangent(self.points[arc_out], self.points[arc_out + 1])
+        turn = sphere_distance(t_in, t_out)
+        if self.space == "projective":
+            turn = fold_angle(turn)
+        return Corners(arc_in, arc_out, self.cum_length[arc_out], t_in, t_out, turn)
+
     def junction_angles(self, min_arc=1e-9):
-        """Turning angle at each interior breakpoint whose two immediately
-        adjacent arcs are both longer than min_arc; nan elsewhere."""
-        seg = self.arc_lengths()
-        n = self.points.shape[0]
-        angles = np.full(max(n - 2, 0), np.nan)
-        for i in range(1, n - 1):
-            if seg[i - 1] > min_arc and seg[i] > min_arc:
-                angles[i - 1] = arc_angle_at_junction(
-                    self.points[i - 1], self.points[i], self.points[i + 1]
-                )
+        """Turn at each interior breakpoint whose two immediately adjacent
+        arcs are both longer than min_arc; nan elsewhere."""
+        c = self.corners(min_arc)
+        angles = np.full(max(self.n_arcs - 1, 0), np.nan)
+        adjacent = c.arc_out == c.arc_in + 1
+        angles[c.arc_in[adjacent]] = c.turn[adjacent]
         return angles
 
     def turning_total(self, min_arc=1e-9):
-        """Total turning: sum of angles between consecutive nontrivial arcs
-        (stalls contribute a single turn).  This is the discrete total
-        curvature of the polyline in its own space: on RP^2 the one-sided
-        derivatives are compared as projective classes, so each turn is
-        folded into [0, pi/2]."""
-        seg = self.arc_lengths()
-        live = [i for i in range(len(seg)) if seg[i] > min_arc]
-        total = 0.0
-        for prev, cur in zip(live[:-1], live[1:]):
-            t_in = arc_tangent(self.points[prev], self.points[prev + 1], at_end=True)
-            t_out = arc_tangent(self.points[cur], self.points[cur + 1])
-            turn = float(sphere_distance(t_in, t_out))
-            if self.space == "projective":
-                turn = min(turn, np.pi - turn)
-            total += turn
-        return total
+        """Total turning: sum of the corner turns (stalls contribute a single
+        turn).  This is the discrete total curvature of the polyline in its
+        own space."""
+        return float(np.sum(self.corners(min_arc).turn))
+
+
+@dataclass(frozen=True)
+class Corners:
+    """Corner table of a GeodesicPolyline; row j joins live arc arc_in[j]
+    to the next live arc arc_out[j]."""
+
+    arc_in: np.ndarray
+    arc_out: np.ndarray
+    params: np.ndarray  # cum_length at the start of arc_out
+    t_in: np.ndarray  # (m, 3) unit tangent at the end of arc_in
+    t_out: np.ndarray  # (m, 3) unit tangent at the start of arc_out
+    turn: np.ndarray  # in [0, pi]; [0, pi/2] on RP^2
 
 
 class ScheduledPath:
@@ -310,22 +330,29 @@ def lift_projective_polyline(curve, seed):
     return GeodesicPolyline(lifted, "sphere", curve.cum_length.copy()), closure
 
 
-def split_long_arcs(points, max_len=MAX_PROJ_ARC):
-    """Insert slerp midpoints so that no arc exceeds max_len.
+def split_long_arcs(points, max_len=MAX_PROJ_ARC, lengths=None):
+    """Insert slerp points so that no arc exceeds max_len; returns
+    (points, cum_length).
 
-    Required before projecting sphere polylines to RP^2: a projective arc
-    longer than pi/2 is not the minimal geodesic between its endpoints.
+    Arc lengths are the sphere distances between consecutive points unless
+    `lengths` gives them.  An arc of length L > max_len is cut into
+    ceil(L / max_len) pieces of equal length, and cum_length is interpolated
+    linearly across it.  Required before projecting sphere polylines to RP^2:
+    a projective arc longer than pi/2 is not the minimal geodesic between
+    its endpoints.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = [points[0]]
-    for a, b in zip(points[:-1], points[1:]):
-        theta = float(sphere_distance(a, b))
-        if theta > max_len:
-            pieces = int(np.ceil(theta / max_len))
-            lam = np.arange(1, pieces) / pieces
-            out.extend(slerp(a, b, lam))
-        out.append(b)
-    return np.array(out)
+    if lengths is None:
+        lengths = sphere_distance(points[:-1], points[1:])
+    lengths = np.asarray(lengths, dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    extra = np.where(lengths > max_len, np.ceil(lengths / max_len) - 1, 0).astype(int)
+    arc = np.repeat(np.arange(extra.size), extra)  # split arc of each new point
+    first = np.repeat(np.cumsum(extra) - extra, extra)  # its first new point
+    lam = (np.arange(arc.size) - first + 1) / (extra[arc] + 1)
+    new = slerp(points[arc], points[arc + 1], lam)
+    return (np.insert(points, arc + 1, new, axis=0),
+            np.insert(cum, arc + 1, cum[arc] + lam * lengths[arc]))
 
 
 def sup_distance(curve_a, curve_b, n_grid=1024):

@@ -303,11 +303,12 @@ def cumulative_frame_integrals(curve, s_values):
     by adaptive quadrature of the analytic frame."""
     a, _ = curve.domain
 
+    # .item(): frames of ODE curves return 1-element arrays for scalar input
     def kfun(x):
-        return float(curve.frame(np.asarray(x))[3])
+        return curve.frame(np.asarray(x))[3].item()
 
     def taufun(x):
-        return float(np.abs(curve.frame(np.asarray(x))[4]))
+        return np.abs(curve.frame(np.asarray(x))[4]).item()
 
     ks, ts = [], []
     prev_s, acc_k, acc_t = a, 0.0, 0.0

@@ -152,6 +152,18 @@ class TestConverge:
         _, rep2 = run(args, capsys)
         assert strip_timestamp(rep1) == strip_timestamp(rep2)
 
+    def test_blowup_model_runs(self, tmp_path, capsys):
+        # the ODE curve's frame returns 1-element arrays for scalar input
+        code, report = run(
+            [
+                "converge", "--model", "blowup", "--params", "delta=0.05",
+                "--levels", "3", "--tol-converge", "0.1", "--out", str(tmp_path / "b"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert report["status"] == "ok"
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         code, report = run(
             [
@@ -274,3 +286,11 @@ class TestLiftCmd:
         rows = (tmp_path / "L2" / "lifted.csv").read_text().splitlines()[1:]
         first = [float(x) for x in rows[0].split(",")[1:]]
         assert first[0] == pytest.approx(-1.0)
+
+    def test_ambiguous_lift_is_an_error_report(self, tmp_path, capsys):
+        src = tmp_path / "orthogonal.csv"
+        src.write_text("1,0,0\n0,1,0\n")
+        code, report = run(["lift", str(src), "--out", str(tmp_path / "L3")], capsys)
+        assert code == 2
+        assert report["status"] == "error"
+        assert "equidistant" in report["error"]

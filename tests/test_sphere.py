@@ -8,6 +8,7 @@ from weakfrenet.sphere import (
     GeodesicPolyline,
     ProjPoint,
     arc_angle_at_junction,
+    arc_tangent,
     canon_rep,
     fold_angle,
     lift_projective_polyline,
@@ -237,7 +238,7 @@ class TestPolyline:
 
     def test_split_long_arcs(self):
         pts = np.array([E1, -unit([1, 0.05, 0.0])])
-        out = split_long_arcs(pts)
+        out, _ = split_long_arcs(pts)
         d = sphere_distance(out[:-1], out[1:])
         assert np.all(d <= np.pi / 2 + 1e-12)
         assert np.allclose(out[0], pts[0]) and np.allclose(out[-1], pts[-1])
@@ -257,3 +258,126 @@ class TestPolyline:
     def test_fold_angle(self):
         assert fold_angle(0.3) == pytest.approx(0.3)
         assert fold_angle(np.pi - 0.3) == pytest.approx(0.3)
+
+
+# ---------------------------------------------------------------------------
+# corner table and arc splitter against per-junction / per-arc references
+# ---------------------------------------------------------------------------
+
+
+def corner_reference(poly, min_arc):
+    """Per-junction scalar loop over consecutive live arcs:
+    rows (arc_in, arc_out, param, t_in, t_out, turn)."""
+    seg = np.diff(poly.cum_length)
+    live = [i for i in range(len(seg)) if seg[i] > min_arc]
+    rows = []
+    for prev, cur in zip(live[:-1], live[1:]):
+        t_in = arc_tangent(poly.points[prev], poly.points[prev + 1], at_end=True)
+        t_out = arc_tangent(poly.points[cur], poly.points[cur + 1])
+        turn = float(sphere_distance(t_in, t_out))
+        if poly.space == "projective":
+            turn = min(turn, np.pi - turn)
+        rows.append((prev, cur, float(poly.cum_length[cur]), t_in, t_out, turn))
+    return rows
+
+
+def split_reference(points, max_len, lengths):
+    """Per-arc slerp loop: (points, cum_length) with long arcs cut into
+    ceil(length / max_len) equal pieces."""
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    out, out_cum = [points[0]], [cum[0]]
+    for i, length in enumerate(lengths):
+        if length > max_len:
+            pieces = int(np.ceil(length / max_len))
+            lam = np.arange(1, pieces) / pieces
+            out.extend(slerp(points[i], points[i + 1], lam))
+            out_cum.extend(cum[i] + lam * length)
+        out.append(points[i + 1])
+        out_cum.append(cum[i + 1])
+    return np.array(out), np.array(out_cum)
+
+
+@st.composite
+def polylines(draw):
+    """Sphere or projective polylines; some breakpoints are repeated, which
+    makes zero-length (stall) arcs."""
+    pts = draw(st.lists(unit_vectors(), min_size=1, max_size=10))
+    stalls = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    rows = [p for p, stall in zip(pts, stalls) for p in ([p, p] if stall else [p])]
+    space = draw(st.sampled_from(["sphere", "projective"]))
+    if space == "projective":
+        rows = lift_signs(rows, on_ambiguous="keep")
+    return GeodesicPolyline(np.array(rows), space)
+
+
+class TestCornerTable:
+    @given(polylines(), st.sampled_from([1e-12, 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_junction_reference(self, poly, min_arc):
+        try:
+            ref = corner_reference(poly, min_arc)
+        except DegenerateArc:
+            with pytest.raises(DegenerateArc):
+                poly.corners(min_arc)
+            return
+        c = poly.corners(min_arc)
+        assert c.arc_in.tolist() == [r[0] for r in ref]
+        assert c.arc_out.tolist() == [r[1] for r in ref]
+        assert c.params.tolist() == [r[2] for r in ref]
+        assert np.array_equal(c.t_in, np.reshape([r[3] for r in ref], (-1, 3)))
+        assert np.array_equal(c.t_out, np.reshape([r[4] for r in ref], (-1, 3)))
+        assert c.turn.tolist() == [r[5] for r in ref]
+        total = sum(r[5] for r in ref)
+        assert poly.turning_total(min_arc) == pytest.approx(total, rel=1e-14, abs=1e-15)
+        junctions = poly.junction_angles(min_arc)
+        adjacent = {r[0]: r[5] for r in ref if r[1] == r[0] + 1}
+        for i, angle in enumerate(junctions):
+            if i in adjacent:
+                assert angle == adjacent[i]
+            else:
+                assert np.isnan(angle)
+
+    @pytest.mark.parametrize(
+        "points, cum",
+        [
+            ([E1, -E1, E2], None),  # live antipodal arc
+            ([E1, E1, E2], [0.0, 1.0, 2.0]),  # live by length, coincident points
+        ],
+    )
+    def test_degenerate_live_arc_raises(self, points, cum):
+        with pytest.raises(DegenerateArc):
+            GeodesicPolyline(points, "sphere", cum).corners()
+
+    def test_projective_turn_is_folded(self):
+        mid = unit([1, 1, 0])
+        sphere = GeodesicPolyline([E1, mid, E1], "sphere")
+        proj = GeodesicPolyline([E1, mid, E1], "projective")
+        assert sphere.corners().turn[0] == pytest.approx(np.pi, abs=1e-12)
+        assert proj.corners().turn[0] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSplitLongArcs:
+    @given(
+        st.lists(unit_vectors(), min_size=1, max_size=8),
+        st.sampled_from([0.3, 1.5, np.pi / 2]),
+        st.one_of(st.none(), st.floats(0.5, 3.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_arc_slerp(self, pts, max_len, stretch):
+        points = np.array(pts)
+        lengths = sphere_distance(points[:-1], points[1:])
+        if stretch is not None:  # lengths other than sphere distances
+            lengths = lengths * stretch
+        try:
+            ref_pts, ref_cum = split_reference(points, max_len, lengths)
+        except AntipodalPair:
+            with pytest.raises(AntipodalPair):
+                split_long_arcs(points, max_len, lengths)
+            return
+        out, cum = split_long_arcs(points, max_len, None if stretch is None else lengths)
+        assert np.array_equal(out, ref_pts)
+        assert np.array_equal(cum, ref_cum)
+
+    def test_antipodal_long_arc_raises(self):
+        with pytest.raises(AntipodalPair):
+            split_long_arcs(np.array([E1, -E1]))

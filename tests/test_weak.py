@@ -116,10 +116,8 @@ class TestWeakBinormal:
         mid = b_c.total_length / 2
         # probe junction turning angles near the inflection: folded into
         # projective classes they stay small (no corner)
-        from weakfrenet.forces import _polyline_corners
-
-        corners = _polyline_corners(b_c.curve, threshold=0.3, projective=True)
-        assert corners == []
+        turns = b_c.curve.corners(min_arc=1e-12).turn
+        assert turns[turns > 0.3].tolist() == []
 
 
 class TestWeakTantrix:
@@ -146,11 +144,10 @@ class TestWeakTantrix:
     def test_inflection_corner_angle_pi(self):
         seq = refine(inflection_curve(), levels=6, base_n=64)
         t_c = weak_tantrix(seq, tol=np.inf)
-        from weakfrenet.forces import _polyline_corners
-
-        corners = _polyline_corners(t_c.curve, threshold=0.3)
+        turns = t_c.curve.corners(min_arc=1e-12).turn
+        corners = turns[turns > 0.3]
         assert len(corners) == 1
-        assert corners[0][3] == pytest.approx(PI, abs=1e-6)
+        assert corners[0] == pytest.approx(PI, abs=1e-6)
 
     def test_speed_away_from_breakpoints(self):
         seq = refine(helix(1.0, 2 * PI), levels=4, base_n=32)
