@@ -515,7 +515,14 @@ def frame_at(c, s, numeric=False, h=1e-5, eps_inflection=EPS_INFLECTION):
 @dataclass(frozen=True)
 class Inscription:
     """Inscribed polygonal together with its mesh (longest chord) and its
-    modulus (largest sub-arc diameter, estimated by dense sub-sampling)."""
+    modulus (largest sub-arc diameter over N_SUB_MODULUS samples per cell).
+
+    A cell whose sample steps all lie within pi/4 of its chord has pairwise
+    steps at most pi/2 apart, so distances between samples grow along the
+    cell and its diameter is the chord.  Other cells take the exact maximum
+    over all sample pairs.  The end samples of a cell are its vertices, so
+    mesh <= modulus holds exactly.
+    """
 
     polygonal: Polygonal3
     mesh: float
@@ -530,23 +537,26 @@ def inscribe(c, params):
     if params.ndim != 1 or params.size < 2 or np.any(np.diff(params) <= 0):
         raise ValueError("params must be strictly increasing with >= 2 entries")
     verts = c.eval(params)
-    chords = np.linalg.norm(np.diff(verts, axis=0), axis=1)
+    chord_vecs = np.diff(verts, axis=0)
+    chords = np.linalg.norm(chord_vecs, axis=1)
     mesh = float(np.max(chords))
 
-    # arc diameters: Nsub samples per cell, max pairwise distance, computed
-    # as a batched Gram matrix chunked over cells
-    lam = np.linspace(0.0, 1.0, N_SUB_MODULUS)
+    lam = np.linspace(0.0, 1.0, N_SUB_MODULUS)[1:-1]
     sub = params[:-1, None] + np.diff(params)[:, None] * lam[None, :]
-    pts = c.eval(sub.reshape(-1)).reshape(len(params) - 1, N_SUB_MODULUS, 3)
+    inner = c.eval(sub.reshape(-1)).reshape(sub.shape + (3,))
+    pts = np.concatenate([verts[:-1, None], inner, verts[1:, None]], axis=1)
+    steps = np.diff(pts, axis=1)
+    along = np.einsum("cjk,ck->cj", steps, chord_vecs)
+    step_len = np.sqrt(np.einsum("cjk,cjk->cj", steps, steps))
+    # strict, so a zero chord or a repeated sample sends the cell to the
+    # exact all-pairs maximum below, taken one sample lag at a time
+    certified = np.all(along > np.sqrt(0.5) * step_len * chords[:, None], axis=1)
+    rest = pts[~certified]
     max_d2 = 0.0
-    chunk = 4096
-    for lo in range(0, pts.shape[0], chunk):
-        p = pts[lo : lo + chunk]
-        sq = np.sum(p * p, axis=2)
-        gram = p @ p.transpose(0, 2, 1)
-        d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
-        max_d2 = max(max_d2, float(np.max(d2)))
-    modulus = float(np.sqrt(max(max_d2, 0.0)))
+    for lag in range(1, N_SUB_MODULUS):
+        d = rest[:, lag:] - rest[:, :-lag]
+        max_d2 = max(max_d2, float(np.max(np.sum(d * d, axis=-1), initial=0.0)))
+    modulus = max(mesh, float(np.sqrt(max_d2)))
 
     scale = max(float(np.max(np.abs(verts))), 1.0)
     closed = bool(

@@ -8,8 +8,6 @@ the interleaved tangent/binormal schedule, and the normal indicatrix.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -514,32 +512,21 @@ def _witness_samples(rng, n):
     return np.column_stack([phi2, phi3, psi4, psi5, psi6, dih])
 
 
-def nonmonotonicity_witness(seed=0, budget=2000, min_gap=1e-3, threads=None):
+def nonmonotonicity_witness(seed=0, budget=2000, min_gap=1e-3):
     """Search the two-plane family for an inscribed polygonal with strictly
     larger total absolute torsion than its parent.
 
     Coarse seeded sampling over the construction angles, then Gaussian
-    perturbation around the running best.  Deterministic given the seed; the
-    merge order does not depend on thread scheduling.
+    perturbation around the running best.  Deterministic given the seed.
     """
     rng = np.random.default_rng(seed)
-    if threads is None:
-        threads = max(int(os.environ.get("FRENET_WEAK_THREADS", "1")), 1)
-
-    def evaluate(rows):
-        rows = list(rows)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_witness_gap, rows))
-        else:
-            results = [_witness_gap(row) for row in rows]
-        return results
 
     best = None
     best_params = None
     n_coarse = max(budget // 2, 1)
     coarse = _witness_samples(rng, n_coarse)
-    for row, res in zip(coarse, evaluate(coarse)):
+    for row in coarse:
+        res = _witness_gap(row)
         if res is not None and (best is None or res[0] > best[0]):
             best, best_params = res, row
 
@@ -549,7 +536,8 @@ def nonmonotonicity_witness(seed=0, budget=2000, min_gap=1e-3, threads=None):
         n_local = min(remaining, 200)
         remaining -= n_local
         local = best_params + rng.normal(0.0, scale, size=(n_local, 6))
-        for row, res in zip(local, evaluate(local)):
+        for row in local:
+            res = _witness_gap(row)
             if res is not None and res[0] > best[0]:
                 best, best_params = res, row
         scale *= 0.7

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weakfrenet.curves import (
+    N_SUB_MODULUS,
     frame_at,
     frenet_ode_curve,
     helix,
@@ -203,6 +206,47 @@ class TestFrameAt:
             frame_at(line, 0.5, numeric=True)
 
 
+def modulus_reference(c, params):
+    """Largest distance over all pairs of the N_SUB_MODULUS samples of each
+    cell, from coordinate differences, one cell at a time."""
+    params = np.asarray(params, dtype=float)
+    verts = c.eval(params)
+    lam = np.linspace(0.0, 1.0, N_SUB_MODULUS)[1:-1]
+    best = 0.0
+    for i in range(len(params) - 1):
+        inner = c.eval(params[i] + (params[i + 1] - params[i]) * lam)
+        p = np.vstack([verts[i], inner, verts[i + 1]])
+        d = p[:, None, :] - p[None, :, :]
+        best = max(best, float(np.max(np.sqrt(np.sum(d * d, axis=-1)))))
+    return best
+
+
+@st.composite
+def inscription_cases(draw):
+    """Curves and params whose cells hit both the chord certificate and the
+    all-pairs fallback: few-cell helices (turning too much to certify),
+    zigzags cut across their corners, and nested inflection refinements."""
+    kind = draw(st.sampled_from(["helix", "zigzag", "inflection"]))
+    if kind == "helix":
+        c = helix(1.0, draw(st.floats(0.0, 2 * PI)))
+        return c, np.linspace(*c.domain, draw(st.integers(1, 3)) + 1)
+    if kind == "zigzag":
+        m = draw(st.integers(2, 8))
+        amp = draw(st.floats(0.2, 3.0))
+        c = polyline_curve(
+            Polygonal3([[i, amp * (i % 2), 0.0] for i in range(m + 1)])
+        )
+        a, b = c.domain
+        cuts = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+        return c, np.unique(np.concatenate([[a, b], a + (b - a) * np.array(cuts)]))
+    c = inflection_curve()
+    params = list(c.domain)
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=30)):
+        i = pick % (len(params) - 1)
+        params.insert(i + 1, 0.5 * (params[i] + params[i + 1]))
+    return c, np.array(params)
+
+
 class TestInscribe:
     def test_single_segment(self):
         c = helix(1.0, 2 * PI)
@@ -213,6 +257,20 @@ class TestInscribe:
             float(np.linalg.norm(c.eval(b) - c.eval(a)))
         )
         assert ins.modulus >= ins.mesh
+
+    def test_modulus_within_cell_arc_length(self):
+        # a sub-arc of a unit-speed curve is never wider than its length
+        c = inflection_curve()
+        params = np.linspace(*c.domain, 8193)
+        ins = inscribe(c, params)
+        assert ins.modulus <= np.max(np.diff(params)) + 1e-14
+        assert ins.modulus >= ins.mesh
+
+    @given(inscription_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_modulus_matches_all_pairs_reference(self, case):
+        c, params = case
+        assert inscribe(c, params).modulus == modulus_reference(c, params)
 
     def test_circle_four_points_is_square(self):
         c = helix(1.0, 0.0)

@@ -394,11 +394,3 @@ class TestWitness:
     def test_search_failure(self):
         with pytest.raises(SearchFailed):
             nonmonotonicity_witness(seed=0, budget=4, min_gap=100.0)
-
-    def test_thread_fanout_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("FRENET_WEAK_THREADS", "4")
-        w_par = nonmonotonicity_witness(seed=3, budget=300)
-        monkeypatch.setenv("FRENET_WEAK_THREADS", "1")
-        w_ser = nonmonotonicity_witness(seed=3, budget=300)
-        assert np.array_equal(w_par.polygonal.vertices, w_ser.polygonal.vertices)
-        assert w_par.gap == w_ser.gap
