@@ -90,15 +90,17 @@ def read_polygonal(path):
     return Polygonal3(arr, closed=closed)
 
 
-def _fmt(x):
-    return repr(float(x))
+def _write_rows(fh, columns, sep=","):
+    """One line per row of the equal-length `columns`, each value written
+    as the repr of its Python scalar (floats round-trip, ints stay ints)."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    fh.writelines(sep.join(map(repr, row)) + "\n" for row in rows)
 
 
 def write_polygonal(path, P):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# x y z\n")
-        for v in P.vertices:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+        _write_rows(fh, P.vertices.T, sep=" ")
 
 
 def _sample_params(curve, n_uniform=512):
@@ -119,26 +121,20 @@ def write_indicatrix_csv(path, curve, n_uniform=512):
             fh.write("s,x,y,z,sheet\n")
             canon = canon_rep(pts)
             sheet = np.where(np.sum(pts * canon, axis=1) >= 0, 1, -1)
-            for si, p, sh in zip(s, canon, sheet):
-                fh.write(
-                    f"{_fmt(si)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},{sh:d}\n"
-                )
+            _write_rows(fh, [s, *canon.T, sheet])
         else:
             fh.write("s,x,y,z\n")
-            for si, p in zip(s, pts):
-                fh.write(f"{_fmt(si)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n")
+            _write_rows(fh, [s, *pts.T])
     return path
 
 
 def write_density_csv(path, measure):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("param,vx,vy,vz,step\n")
-        for p, v, st in zip(
-            measure.density_params, measure.density_values, measure.density_steps
-        ):
-            fh.write(
-                f"{_fmt(p)},{_fmt(v[0])},{_fmt(v[1])},{_fmt(v[2])},{_fmt(st)}\n"
-            )
+        _write_rows(
+            fh,
+            [measure.density_params, *measure.density_values.T, measure.density_steps],
+        )
     return path
 
 
@@ -451,8 +447,7 @@ def cmd_lift(args):
     path = os.path.join(args.out, "lifted.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("s,x,y,z\n")
-        for si, p in zip(lifted.cum_length, lifted.points):
-            fh.write(f"{_fmt(si)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n")
+        _write_rows(fh, [lifted.cum_length, *lifted.points.T])
     report = _base_report("lift", args)
     report["input"] = {"path": args.input, "points": int(pts.shape[0])}
     report["closure_sign"] = closure

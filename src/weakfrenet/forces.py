@@ -149,26 +149,12 @@ def tc_star(measure):
 
 
 def _cumulative_table(curve, which, n_dense=4096):
-    """Monotone table (s_grid, cumulative integral) for k or |tau|; uses the
-    curve's analytic cumulative closure when available."""
+    """Monotone table (s_grid, cumulative integral) for k or |tau|, from the
+    curve's cum_curvature / cum_abs_torsion closure."""
     a, b = curve.domain
     s_grid = np.linspace(a, b, n_dense + 1)
     closure = curve.cum_curvature if which == "k" else curve.cum_abs_torsion
-    if closure is not None:
-        return s_grid, np.asarray(closure(s_grid), dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (s_grid[:-1] + s_grid[1:])
-    half = 0.5 * np.diff(s_grid)
-    pts = mid[:, None] + half[:, None] * nodes
-    _, _, _, k, tau = curve.frame(pts.reshape(-1))
-    f = k if which == "k" else np.abs(tau)
-    f = f.reshape(len(mid), len(nodes))
-    cells = np.sum(f * weights, axis=1) * half
-    return s_grid, np.concatenate([[0.0], np.cumsum(cells)])
-
-
-def _invert_table(s_grid, cum, values):
-    return np.interp(values, cum, s_grid)
+    return s_grid, np.asarray(closure(s_grid), dtype=float)
 
 
 def _corner_atoms(polyline, total, threshold):
@@ -208,7 +194,7 @@ def torsion_force(
     s_grid, cum = _cumulative_table(curve, "k")
     total = float(cum[-1])
     params, step = _midpoint_grid(0.0, total, n_density)
-    s1 = _invert_table(s_grid, cum, params)
+    s1 = np.interp(params, cum, s_grid)
     _, _, bvec, k, tau = curve.frame(s1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(k) > 1e-300, tau / k, 0.0)
@@ -252,7 +238,7 @@ def binormal_variation(
             f"torsion vanishes on about {frac:.0%} of the domain"
         )
     params, step = _midpoint_grid(0.0, total, n_density)
-    s2 = _invert_table(s_grid, cum, params)
+    s2 = np.interp(params, cum, s_grid)
     _, nvec, _, k, tau = curve.frame(s2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(tau) > 1e-12, np.sign(tau) * k / np.abs(tau), 0.0)
@@ -318,7 +304,7 @@ def first_variation_check(curve, measure, fields, n_quad=4096):
         speed = t
     elif measure.kind == "cum_curvature":
         s_grid, cum = _cumulative_table(curve, "k")
-        s1 = _invert_table(s_grid, cum, grid)
+        s1 = np.interp(grid, cum, s_grid)
         _, nvec, _, _, _ = curve.frame(s1)
         speed = nvec
     else:
@@ -365,7 +351,7 @@ def make_tangential_bumps(curve, count, seed=0, profile="sin2"):
         def value(kk, w=w):
             scalar = np.ndim(kk) == 0
             arr = np.atleast_1d(np.asarray(kk, dtype=float))
-            s1 = _invert_table(s_grid, cum, arr)
+            s1 = np.interp(arr, cum, s_grid)
             t, _, _, _, _ = curve.frame(s1)
             out = phi_fn(arr)[:, None] * (w - np.sum(w * t, axis=1)[:, None] * t)
             return out[0] if scalar else out
@@ -373,7 +359,7 @@ def make_tangential_bumps(curve, count, seed=0, profile="sin2"):
         def derivative(kk, w=w):
             scalar = np.ndim(kk) == 0
             arr = np.atleast_1d(np.asarray(kk, dtype=float))
-            s1 = _invert_table(s_grid, cum, arr)
+            s1 = np.interp(arr, cum, s_grid)
             t, n, _, _, _ = curve.frame(s1)
             wt = np.sum(w * t, axis=1)[:, None]
             wn = np.sum(w * n, axis=1)[:, None]

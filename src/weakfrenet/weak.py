@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .curves import Inscription, inscribe
 from .errors import (
@@ -298,29 +297,6 @@ def weak_normal(seq, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def cumulative_frame_integrals(curve, s_values):
-    """(K(s), T(s)) with K = int k, T = int |tau| from the domain start,
-    by adaptive quadrature of the analytic frame."""
-    a, _ = curve.domain
-
-    # .item(): frames of ODE curves return 1-element arrays for scalar input
-    def kfun(x):
-        return curve.frame(np.asarray(x))[3].item()
-
-    def taufun(x):
-        return np.abs(curve.frame(np.asarray(x))[4]).item()
-
-    ks, ts = [], []
-    prev_s, acc_k, acc_t = a, 0.0, 0.0
-    for s in s_values:
-        acc_k += quad(kfun, prev_s, s, limit=200)[0]
-        acc_t += quad(taufun, prev_s, s, limit=200)[0]
-        prev_s = s
-        ks.append(acc_k)
-        ts.append(acc_t)
-    return np.array(ks), np.array(ts)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Max deviations of the three reparameterization identities on a grid."""
@@ -350,18 +326,19 @@ class IdentityReport:
 
 def verify_reparam_identities(curve, seq, n_grid=64, tol=1e-2, return_dir=None):
     """Check b_c(t(s)) = [b(s)], t_c(k(s)) = t(s), n_c(rho(s)) = [n(s)] on an
-    interior s-grid, with t, k, rho the cumulative |tau|, k, k + |tau|."""
+    interior s-grid, with t, k, rho the cumulative |tau|, k, k + |tau| read
+    from the curve's cum_abs_torsion / cum_curvature closures."""
     if not curve.has_frame:
         raise ValueError("identities need an analytic frame")
     a, b = curve.domain
     pad = (b - a) * 1e-3
     s_grid = np.linspace(a + pad, b - pad, n_grid)
-    K, T = cumulative_frame_integrals(curve, s_grid)
+    K = curve.cum_curvature(s_grid)
+    T = curve.cum_abs_torsion(s_grid)
     # constant-speed matching needs the whole-domain totals, not the values
     # at the padded grid end
-    K_total, T_total = (
-        float(x[-1]) for x in cumulative_frame_integrals(curve, [b])
-    )
+    K_total = float(curve.cum_curvature(b))
+    T_total = float(curve.cum_abs_torsion(b))
     t_ana, n_ana, b_ana, _, tau_ana = curve.frame(s_grid)
 
     tantrix_dev = binormal_dev = normal_dev = float("nan")

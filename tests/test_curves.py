@@ -125,22 +125,70 @@ class TestFrenetOde:
     def test_unit_circle_closes(self):
         c = frenet_ode_curve(lambda s: 1.0, lambda s: 0.0, (0.0, 2 * PI))
         assert np.linalg.norm(c.eval(2 * PI) - c.eval(0.0)) < 1e-6
-        assert c.frame_drift < 1e-8
 
     def test_blowup_detected(self):
         with pytest.raises(BlowUp):
             frenet_ode_curve(lambda s: 1.0, lambda s: 1.0 / (1.0 - s), (0.0, 1.0))
+
+    def test_interior_pole_raises_blowup(self):
+        # s = 0.25 is a node of the 256-step start; a profile that divides
+        # by zero there is a blow-up, not a ZeroDivisionError
+        with pytest.raises(BlowUp):
+            frenet_ode_curve(lambda s: 1.0, lambda s: 1.0 / (0.25 - s), (0.0, 1.0))
 
     def test_truncated_blowup_profile(self):
         delta = 1e-2
         c = frenet_ode_curve(
             lambda s: 1.0, lambda s: 1.0 / (1.0 - s), (0.0, 1.0 - delta), step=2e-4
         )
-        assert c.frame_drift < 1e-8
         # frame stays orthonormal along the run
         t, n, b, _, _ = c.frame(np.linspace(0, 1 - delta, 33))
         assert np.max(np.abs(np.sum(t * n, axis=1))) < 1e-8
         assert np.max(np.abs(np.linalg.norm(t, axis=1) - 1)) < 1e-8
+
+    def test_helix_profiles_match_analytic_helix(self):
+        R, K = 1.0, 2 * PI
+        w = K / (2 * PI)
+        v = np.hypot(R, w)
+        ref = helix(R, K)
+        a, b = ref.domain
+        t0, n0, b0, _, _ = ref.frame(a)
+        c = frenet_ode_curve(
+            lambda s: R / v**2,
+            lambda s: w / v**2,
+            ref.domain,
+            step=1e-3,
+            start=(ref.eval(a), t0, n0, b0),
+        )
+        s = np.linspace(a, b, 1001)
+        assert np.max(np.abs(c.eval(s) - ref.eval(s))) < 1e-9
+        t, n, _, _, _ = c.frame(s)
+        t_ref, n_ref, _, _, _ = ref.frame(s)
+        assert np.max(np.abs(t - t_ref)) < 1e-7
+        assert np.max(np.abs(n - n_ref)) < 1e-7
+        assert np.max(np.abs(c.cum_curvature(s) - ref.cum_curvature(s))) < 1e-10
+        assert np.max(np.abs(c.cum_abs_torsion(s) - ref.cum_abs_torsion(s))) < 1e-10
+
+    def test_fourth_order_in_the_step(self):
+        # varying k and tau make the Magnus commutator term matter
+        def ends(n_steps):
+            c = frenet_ode_curve(
+                lambda s: 1.0 + s, lambda s: np.cos(3 * s), (0.0, 2.0), step=2.0 / n_steps
+            )
+            t, n, b, _, _ = c.frame(2.0)
+            return np.concatenate([t[0], n[0], b[0], c.eval(2.0)])
+
+        ref = ends(12800)
+        errs = [np.max(np.abs(ends(n) - ref)) for n in (50, 100, 200)]
+        assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
+
+    def test_blowup_cumulative_torsion(self):
+        c = make_curve("blowup", delta=1e-3)
+        s = np.linspace(0.0, 0.999, 20001)
+        err = np.abs(c.cum_abs_torsion(s) + np.log1p(-s))
+        # linear interpolation between the nodes misses by 5e-9 on [0, 0.9]
+        assert np.max(err[s <= 0.9]) < 1e-10
+        assert np.max(err) < 1e-7
 
 
 class TestFrameAt:
