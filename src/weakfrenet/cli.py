@@ -30,7 +30,6 @@ from .errors import (
 from .polygonal import (
     Polygonal3,
     binormal_indicatrix,
-    discrete_frenet,
     nonmonotonicity_witness,
     normal_indicatrix,
     polygonal_measures,
@@ -67,7 +66,9 @@ def read_polygonal(path):
         if not isinstance(record, dict) or "vertices" not in record:
             raise ParseError('JSON polygonal needs a "vertices" field')
         verts = record["vertices"]
-        closed = bool(record.get("closed", False))
+        closed = record.get("closed", False)
+        if not isinstance(closed, bool):
+            raise ParseError('"closed" must be a JSON boolean (true or false)')
     else:
         verts = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -189,18 +190,20 @@ def cmd_analyze(args):
         report["status"] = "return-points"
         emit_report(report, args.report)
         return EXIT_OK
-    fr = discrete_frenet(P)
+    fr = P.frenet
     report["tc"] = _finite(fr.tc)
     report["tat"] = _finite(fr.tat)
     report["ct"] = _finite(fr.ct)
     meas = polygonal_measures(P)
     report["measures"] = {
         "curvature_atoms": [
-            {"vertex": int(i), "angle": _finite(a)} for i, a in meas.curvature_atoms
+            {"vertex": i, "angle": _finite(a)}
+            for i, a in zip(meas.atom_vertices.tolist(), meas.atom_angles.tolist())
         ],
         "torsion_density": [
-            {"segment": int(i), "density": _finite(d), "length": _finite(l)}
-            for i, d, l in meas.torsion_density
+            {"segment": i, "density": _finite(d), "length": _finite(l)}
+            for i, d, l in zip(meas.density_segments.tolist(), meas.densities.tolist(),
+                               meas.density_lengths.tolist())
         ],
         "curvature_mass": _finite(meas.curvature_mass),
         "torsion_mass": _finite(meas.torsion_mass),

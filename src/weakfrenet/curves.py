@@ -1,10 +1,9 @@
 """Parametric curve sources with analytic Frenet data.
 
 The two reference models are the helicoidal curve (constant curvature and
-torsion) and a unit-speed curve with a genuine inflection point, where the
-frame is produced by the first non-vanishing higher derivative.  Curves can
-also be generated by integrating curvature/torsion profiles through the
-Frenet-Serret system.
+torsion) and a unit-speed curve with a genuine inflection point, whose frame
+closure gives the generalized frame there.  Curves can also be generated by
+integrating curvature/torsion profiles through the Frenet-Serret system.
 """
 
 from __future__ import annotations
@@ -13,26 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlowUp,
-    DegeneratePolygonal,
-    EvalOutOfDomain,
-    FrameUndefined,
-    UnknownModel,
-)
+from .errors import BlowUp, DegeneratePolygonal, EvalOutOfDomain, UnknownModel
 from .polygonal import Polygonal3
-from .sphere import unit
-
-EPS_INFLECTION = 1e-8
-MAX_DERIV_ORDER = 5
 
 
 @dataclass
 class ParamCurve:
     """Curve s -> R^3 on a closed interval, assumed unit-speed.
 
-    position and the optional derivative/frame callables are vectorized over
-    the last axis being the 3-vector.  frame(s) returns (t, n, b, k, tau).
+    position and the optional d1 (first derivative) and frame callables are
+    vectorized over the last axis being the 3-vector.  frame(s) returns
+    (t, n, b, k, tau).
     Every curve with a frame also carries cum_curvature and cum_abs_torsion,
     the cumulative integrals of k and |tau| from the domain start.
     """
@@ -41,8 +31,6 @@ class ParamCurve:
     domain: tuple
     position: callable
     d1: callable = None
-    d2: callable = None
-    d3: callable = None
     frame: callable = None
     arclength: bool = True
     closed: bool = False  # geometrically closed loop (endpoints identified)
@@ -60,19 +48,6 @@ class ParamCurve:
     @property
     def has_frame(self):
         return self.frame is not None
-
-
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Pointwise frame; inflection_order > 2 marks a generalized frame built
-    from the first non-vanishing higher derivative."""
-
-    t: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-    k: float
-    tau: float
-    inflection_order: int = 2
 
 
 def helix(R=1.0, K=2 * np.pi):
@@ -98,16 +73,6 @@ def helix(R=1.0, K=2 * np.pi):
             [-R / v * np.sin(u), R / v * np.cos(u), np.full_like(u, w / v)], axis=-1
         )
 
-    def d2(s):
-        u = np.asarray(s, dtype=float) / v
-        z = np.zeros_like(u)
-        return np.stack([-R / v**2 * np.cos(u), -R / v**2 * np.sin(u), z], axis=-1)
-
-    def d3(s):
-        u = np.asarray(s, dtype=float) / v
-        z = np.zeros_like(u)
-        return np.stack([R / v**3 * np.sin(u), -R / v**3 * np.cos(u), z], axis=-1)
-
     def frame(s):
         u = np.asarray(s, dtype=float) / v
         z = np.zeros_like(u)
@@ -125,8 +90,6 @@ def helix(R=1.0, K=2 * np.pi):
         domain=(-L / 2, L / 2),
         position=position,
         d1=d1,
-        d2=d2,
-        d3=d3,
         frame=frame,
         closed=(K == 0.0),
         cum_curvature=lambda s: kconst * (np.asarray(s, dtype=float) + L / 2),
@@ -180,19 +143,6 @@ def inflection_curve():
         root = np.sqrt(np.clip(1.0 - s**4, 0.0, None))
         return np.stack([np.ones_like(s), s**2, root], axis=-1) / r2
 
-    def d2(s):
-        s = np.asarray(s, dtype=float)
-        root = np.sqrt(np.clip(1.0 - s**4, 1e-300, None))
-        return np.stack([np.zeros_like(s), 2.0 * s, -2.0 * s**3 / root], axis=-1) / r2
-
-    def d3(s):
-        s = np.asarray(s, dtype=float)
-        root = np.sqrt(np.clip(1.0 - s**4, 1e-300, None))
-        return np.stack(
-            [np.zeros_like(s), np.full_like(s, 2.0), -2.0 * s**2 * (3.0 - s**4) / root**3],
-            axis=-1,
-        ) / r2
-
     def frame(s):
         s = np.asarray(s, dtype=float)
         sg = np.where(s >= 0, 1.0, -1.0)
@@ -216,8 +166,6 @@ def inflection_curve():
         domain=(-1.0, 1.0),
         position=position,
         d1=d1,
-        d2=d2,
-        d3=d3,
         frame=frame,
         cum_curvature=cum_curvature,
         cum_abs_torsion=cum_curvature,  # |tau| = k for this curve
@@ -419,85 +367,6 @@ def _integrate_frenet(k_profile, tau_profile, a, b, step, start):
 
 
 # ---------------------------------------------------------------------------
-# pointwise frames, including generalized frames at inflection points
-# ---------------------------------------------------------------------------
-
-
-def _fd(fn, x, step):
-    return (np.asarray(fn(x + step), float) - np.asarray(fn(x - step), float)) / (
-        2.0 * step
-    )
-
-
-def frame_at(c, s, numeric=False, h=1e-5, eps_inflection=EPS_INFLECTION):
-    """Frenet frame of c at s; at an inflection point the frame comes from
-    the first non-vanishing derivative of order n <= 5 (binormal is the
-    normalized cross product of the tangent with that derivative).
-
-    Analytic derivative closures are used when present; orders beyond the
-    highest closure fall back to central differences of that closure.  With
-    numeric=True the whole chain may be built from the position alone.
-    """
-    s = float(s)
-    closures = {1: c.d1, 2: c.d2, 3: c.d3}
-    top = max((o for o in (3, 2, 1) if closures[o] is not None), default=0)
-    if top == 0 and not numeric:
-        raise FrameUndefined("no derivatives available; pass numeric=True")
-
-    def deriv(order):
-        if order <= top:
-            return np.asarray(closures[order](s), dtype=float)
-        need = order - top
-        base = closures[top] if top else c.eval
-        if top == 0:
-            need = order
-        if top < order and top > 0 and order <= 3 and not numeric:
-            raise FrameUndefined(f"no derivative of order {order} available")
-        fn = base
-        for level in range(need):
-            prev = fn
-            step = h if level == 0 else 10.0 ** level * h  # widen repeated stencils
-            fn = lambda x, p=prev, st=step: _fd(p, x, st)
-        return np.asarray(fn(s), dtype=float)
-
-    d1 = deriv(1)
-    t = unit(d1)
-
-    def perp(v):
-        # arc-length derivatives of order >= 2 are orthogonal to the
-        # tangent; the tangential residue is parameterization noise
-        return v - np.dot(v, t) * t
-
-    d2 = perp(deriv(2))
-    if np.linalg.norm(d2) > eps_inflection:
-        k = float(np.linalg.norm(d2))
-        n = d2 / k
-        bvec = np.cross(t, n)
-        try:
-            d3 = deriv(3)
-            tau = float(np.dot(np.cross(d1, d2), d3) / k**2)
-        except FrameUndefined:
-            tau = float("nan")
-        return FrenetFrame(
-            t=t, n=unit(n), b=unit(bvec), k=k, tau=tau, inflection_order=2
-        )
-
-    for order in range(3, MAX_DERIV_ORDER + 1):
-        dn = perp(deriv(order))
-        norm = float(np.linalg.norm(dn))
-        if norm > eps_inflection:
-            return FrenetFrame(
-                t=t,
-                n=unit(dn / norm),
-                b=unit(np.cross(d1, dn) / norm),
-                k=0.0,
-                tau=0.0,
-                inflection_order=order,
-            )
-    raise FrameUndefined(f"derivatives up to order {MAX_DERIV_ORDER} all vanish")
-
-
-# ---------------------------------------------------------------------------
 # inscription
 # ---------------------------------------------------------------------------
 
@@ -562,20 +431,36 @@ def inscribe(c, params):
 # ---------------------------------------------------------------------------
 
 
+_MODEL_PARAMS = {
+    "helix": ("R", "K"),
+    "circle": ("R",),
+    "inflection": (),
+    "blowup": ("delta", "step"),
+}
+
+
 def make_curve(model, **params):
-    """Build a curve from a model name and a parameter map."""
+    """Build a curve from a model name and a parameter map.  A parameter
+    name the model does not take raises ValueError."""
+    if model not in _MODEL_PARAMS:
+        raise UnknownModel(f"unknown curve model {model!r}")
+    unknown = sorted(set(params) - set(_MODEL_PARAMS[model]))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {', '.join(unknown)} for model {model!r}; "
+            f"accepted: {', '.join(_MODEL_PARAMS[model]) or 'none'}"
+        )
     if model == "helix":
         return helix(R=params.get("R", 1.0), K=params.get("K", 2 * np.pi))
     if model == "circle":
         return helix(R=params.get("R", 1.0), K=0.0)
     if model == "inflection":
         return inflection_curve()
-    if model == "blowup":
-        delta = params.get("delta", 1e-2)
-        if not (0.0 < delta < 1.0):
-            raise ValueError("delta must be in (0, 1)")
-        step = params.get("step", min(delta / 50.0, 1e-3))
-        return frenet_ode_curve(
-            lambda s: 1.0, lambda s: 1.0 / (1.0 - s), (0.0, 1.0 - delta), step=step
-        )
-    raise UnknownModel(f"unknown curve model {model!r}")
+    # blowup
+    delta = params.get("delta", 1e-2)
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must be in (0, 1)")
+    step = params.get("step", min(delta / 50.0, 1e-3))
+    return frenet_ode_curve(
+        lambda s: 1.0, lambda s: 1.0 / (1.0 - s), (0.0, 1.0 - delta), step=step
+    )

@@ -45,10 +45,6 @@ class BlowUp(WeakFrenetError):
     """Frenet ODE profile is non-integrable up to the requested endpoint."""
 
 
-class FrameUndefined(WeakFrenetError):
-    """All derivatives up to the search order vanish at the point."""
-
-
 class ZeroTorsionDensity(WeakFrenetError):
     """Torsion vanishes on a set of positive measure; density undefined."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnboundedVariationWarning, ZeroTorsionDensity
-from .polygonal import Polygonal3, discrete_frenet
+from .polygonal import Polygonal3
 from .sphere import unit
 
 CORNER_THRESHOLD = 0.3  # rad; refinement junctions stay far below this
@@ -90,17 +90,13 @@ def curvature_force(obj, n_density=2048, corners=()):
     smooth curve, with one-sided tangents from the first derivative).
     """
     if isinstance(obj, Polygonal3):
-        fr = discrete_frenet(obj)
-        t = fr.tangents
+        fr = obj.frenet
         cum = obj.arclength_of_vertices()
-        m = t.shape[0]
-        atoms = []
-        for j in range(fr.turning_angles.shape[0]):
-            nxt = (j + 1) % m
-            param = cum[j + 1]
-            atoms.append((float(param), t[nxt] - t[j]))
+        # junction j joins segments j and j + 1 (mod m when closed)
+        n_junc = fr.turning_angles.size
+        jumps = np.roll(fr.tangents, -1, axis=0)[:n_junc] - fr.tangents[:n_junc]
         return VectorMeasure(
-            atoms=tuple(atoms),
+            atoms=tuple(zip(cum[1 : n_junc + 1].tolist(), jumps)),
             density_params=np.zeros(0),
             density_values=np.zeros((0, 3)),
             density_steps=np.zeros(0),

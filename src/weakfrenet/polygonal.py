@@ -9,6 +9,7 @@ the interleaved tangent/binormal schedule, and the normal indicatrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ class Polygonal3:
     Closed polygonals store each vertex once (no repeated first vertex);
     segment i runs from vertex i to vertex i+1 (mod n when closed).
     return_points lists vertex indices where the direction reverses exactly;
-    sanitize() fills it in.
+    sanitize() fills it in.  Vertices are never written in place, so the
+    discrete Frenet data is computed once, on first access to `frenet`.
     """
 
     vertices: np.ndarray
@@ -73,6 +75,13 @@ class Polygonal3:
         wrap, so the array has n_segments + 1 entries)."""
         lens = self.segment_lengths()
         return np.concatenate([[0.0], np.cumsum(lens)])
+
+    @cached_property
+    def frenet(self):
+        """discrete_frenet of this polygonal.  An exception is not cached,
+        so a polygonal with return points raises DegeneratePolygonal on
+        every access."""
+        return discrete_frenet(self)
 
 
 def _junction_flags(verts, closed, eps_align):
@@ -259,7 +268,7 @@ def _fill_undefined_binormals(binormals, defined):
 def tantrix(P):
     """Tangent indicatrix: spherical polyline through the segment directions.
     Its length is the total curvature of P."""
-    fr = discrete_frenet(P)
+    fr = P.frenet
     pts = fr.tangents
     if P.closed:
         pts = np.vstack([pts, pts[:1]])
@@ -270,7 +279,7 @@ def tantrix(P):
 def polar_curve(P):
     """Polar of the tangent indicatrix: the projective polyline through the
     consecutive binormal classes.  Its length is the total absolute torsion."""
-    fr = discrete_frenet(P)
+    fr = P.frenet
     if P.n_segments < 3:
         raise DegeneratePolygonal("polar needs >= 3 segments")
     if P.closed:
@@ -292,32 +301,41 @@ def binormal_indicatrix(P):
 @dataclass(frozen=True)
 class PolygonalMeasures:
     """Atomic curvature measure and segment-density torsion measure of a
-    polygonal; mutually singular by construction."""
+    polygonal; mutually singular by construction.
 
-    curvature_atoms: tuple  # (vertex index, turning angle)
-    torsion_density: tuple  # (segment index, signed density, segment length)
+    Curvature atom j sits at vertex atom_vertices[j] with mass
+    atom_angles[j]; torsion density j is densities[j] (signed torsion angle
+    over segment length) on segment density_segments[j] of length
+    density_lengths[j].  Segments without torsion carry no density.
+    """
+
+    atom_vertices: np.ndarray
+    atom_angles: np.ndarray
+    density_segments: np.ndarray
+    densities: np.ndarray
+    density_lengths: np.ndarray
 
     @property
     def curvature_mass(self):
-        return float(sum(a for _, a in self.curvature_atoms))
+        return float(sum(self.atom_angles.tolist()))
 
     @property
     def torsion_mass(self):
-        return float(sum(abs(d) * l for _, d, l in self.torsion_density))
+        return float(sum((np.abs(self.densities) * self.density_lengths).tolist()))
 
 
 def polygonal_measures(P):
-    fr = discrete_frenet(P)
-    lens = P.segment_lengths()
-    n_vert = P.n_vertices
-    atoms = []
-    for j, a in enumerate(fr.turning_angles):
-        atoms.append(((j + 1) % n_vert, float(a)))
-    density = []
-    for j, th in zip(fr.torsion_segments, fr.torsion_angles):
-        if th != 0.0:
-            density.append((int(j), float(th / lens[j]), float(lens[j])))
-    return PolygonalMeasures(tuple(atoms), tuple(density))
+    fr = P.frenet
+    twisted = fr.torsion_angles != 0.0
+    segments = fr.torsion_segments[twisted]
+    lengths = P.segment_lengths()[segments]
+    return PolygonalMeasures(
+        atom_vertices=(np.arange(fr.turning_angles.size) + 1) % P.n_vertices,
+        atom_angles=fr.turning_angles,
+        density_segments=segments,
+        densities=fr.torsion_angles[twisted] / lengths,
+        density_lengths=lengths,
+    )
 
 
 @dataclass(frozen=True)
@@ -335,7 +353,7 @@ class ScheduleTable:
 
 
 def normal_schedule(P):
-    fr = discrete_frenet(P)
+    fr = P.frenet
     alpha = fr.turning_angles
     theta = np.abs(fr.torsion_angles)
     C = np.concatenate([[0.0], np.cumsum(alpha)])
@@ -358,7 +376,7 @@ def _interleave_arrays(P):
     the tangent/binormal values at the event boundaries (one more breakpoint
     than events).  At each boundary the two values are orthogonal.
     """
-    fr = discrete_frenet(P)
+    fr = P.frenet
     t = fr.tangents
     alpha = fr.turning_angles
     theta = np.abs(fr.torsion_angles)
@@ -491,8 +509,8 @@ def _witness_gap(params):
         Pp = sanitize(Polygonal3(np.delete(P.vertices, 3, axis=0)))
         if Pp.n_segments != 5:
             return None
-        frP = discrete_frenet(P)
-        frPp = discrete_frenet(Pp)
+        frP = P.frenet
+        frPp = Pp.frenet
     except DegeneratePolygonal:
         return None
     if frPp.tc > frP.tc + 1e-9 or Pp.length > P.length + 1e-9:

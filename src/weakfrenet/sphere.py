@@ -124,14 +124,6 @@ def arc_tangent(a, b, at_end=False):
     return (b - cos_t * a) / sin_t
 
 
-def arc_angle_at_junction(prev_start, mid, next_end):
-    """Oriented turning angle at mid between the arcs prev_start -> mid and
-    mid -> next_end, in [0, pi].  Callers fold into [0, pi/2] for torsion."""
-    path = GeodesicPolyline([prev_start, mid, next_end], "sphere")
-    # every arc counts as live, so a zero-length one raises DegenerateArc
-    return float(path.corners(min_arc=-np.inf).turn[0])
-
-
 def veronese(v):
     """Quadratic embedding of S^2 into R^6; identifies antipodes and
     preserves path speed.  Every image point has norm sqrt(2)/2."""

@@ -24,7 +24,6 @@ from .errors import (
 from .polygonal import (
     Polygonal3,
     binormal_indicatrix,
-    discrete_frenet,
     normal_indicatrix,
     sanitize,
     tantrix,
@@ -33,11 +32,11 @@ from .sphere import (
     GeodesicPolyline,
     proj_distance,
     sphere_distance,
+    sup_distance,
     unit,
 )
 
 DEFAULT_TOL = 1e-3
-GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def refine(curve, levels, base_n, rng=None):
         params = _level_params(curve, n, rng=rng, parent=params)
         ins = inscribe(curve, params)
         P = sanitize(ins.polygonal)
-        fr = discrete_frenet(P) if not P.return_points else None
+        fr = P.frenet if not P.return_points else None
         if fr is None:
             # return points block the discrete data; record lengths only
             out.append(RefinementLevel(n, ins, P, np.nan, np.nan, np.nan))
@@ -169,14 +168,6 @@ class WeakIndicatrix:
         return self.curve.eval(s * (self.curve.total_length / total))
 
 
-def _cauchy_gap(prev_curve, cur_curve, projective):
-    s = np.linspace(0.0, 1.0, GRID)
-    a = prev_curve.eval(s * prev_curve.total_length)
-    b = cur_curve.eval(s * cur_curve.total_length)
-    d = proj_distance(a, b) if projective else sphere_distance(a, b)
-    return float(np.max(d))
-
-
 def weak_binormal(seq, tol=DEFAULT_TOL):
     """Weak binormal: constant-speed limit of the binormal indicatrices."""
     curves = []
@@ -189,7 +180,7 @@ def weak_binormal(seq, tol=DEFAULT_TOL):
         raise ZeroTorsion("final level has (numerically) zero total torsion")
     if curves[0] is None:
         raise NotConverged("previous level is planar; refine further")
-    gap = _cauchy_gap(curves[0], curves[1], projective=True)
+    gap = sup_distance(curves[0], curves[1])
     if gap > tol:
         raise NotConverged(f"cauchy gap {gap:.3e} exceeds tol {tol:.1e}")
     return WeakIndicatrix(
@@ -248,7 +239,7 @@ def weak_tantrix(seq, tol=DEFAULT_TOL, return_dir=None):
             curves.append(tantrix(lv.polygonal))
     if curves[-1].total_length < 1e-12:
         raise DegeneratePolygonal("final level has zero total curvature")
-    gap = _cauchy_gap(curves[0], curves[1], projective=False)
+    gap = sup_distance(curves[0], curves[1])
     if gap > tol:
         raise NotConverged(f"cauchy gap {gap:.3e} exceeds tol {tol:.1e}")
     return WeakIndicatrix(
@@ -271,7 +262,7 @@ def weak_normal(seq, tol=DEFAULT_TOL):
     curves = [normal_indicatrix(lv.polygonal) for lv in seq.levels[-2:]]
     if curves[-1].total_length <= 0:
         raise DegeneratePolygonal("TC + TAT vanishes at the final level")
-    gap = _cauchy_gap(curves[0], curves[1], projective=True)
+    gap = sup_distance(curves[0], curves[1])
     if gap > tol:
         raise NotConverged(f"cauchy gap {gap:.3e} exceeds tol {tol:.1e}")
     warning = ""

@@ -21,6 +21,25 @@ def random_polygonal(rng, n_min=5, n_max=10, closed=None):
 
 
 @pytest.fixture
+def frenet_calls(monkeypatch):
+    """List of the polygonals that discrete_frenet is called on, through any
+    module-level binding of it in the package."""
+    from weakfrenet import cli, forces, polygonal, weak
+
+    original = polygonal.discrete_frenet
+    calls = []
+
+    def counted(P, *args, **kwargs):
+        calls.append(P)
+        return original(P, *args, **kwargs)
+
+    for module in (polygonal, weak, forces, cli):
+        if getattr(module, "discrete_frenet", None) is original:
+            monkeypatch.setattr(module, "discrete_frenet", counted)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

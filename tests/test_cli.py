@@ -69,6 +69,19 @@ class TestParsing:
         with pytest.raises(cli.ParseError):
             cli.read_polygonal(str(path))
 
+    @pytest.mark.parametrize("closed", ['"false"', "0", "1", "null"])
+    def test_json_closed_must_be_boolean(self, tmp_path, capsys, closed):
+        path = tmp_path / "square.json"
+        path.write_text(
+            '{"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], '
+            f'"closed": {closed}}}'
+        )
+        with pytest.raises(cli.ParseError):
+            cli.read_polygonal(str(path))
+        code, report = run(["analyze", str(path), "--out", str(tmp_path / "a")], capsys)
+        assert code == 2
+        assert report["status"] == "error"
+
 
 class TestAnalyze:
     def test_staircase_report(self, staircase_file, tmp_path, capsys):
@@ -125,6 +138,19 @@ class TestConverge:
     def test_unknown_model(self, capsys):
         code, report = run(["converge", "--model", "trefoil"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("model, params", [
+        ("helix", "r=3"), ("circle", "K=1"), ("inflection", "R=2"), ("blowup", "Delta=0.1"),
+    ])
+    def test_unknown_parameter_rejected(self, tmp_path, capsys, model, params):
+        code, report = run(
+            ["converge", "--model", model, "--params", params, "--levels", "2",
+             "--base-n", "8", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert params.split("=")[0] in report["error"]
 
     def test_helix_report_fields(self, tmp_path, capsys):
         code, report = run(

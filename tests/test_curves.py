@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from weakfrenet.curves import (
     N_SUB_MODULUS,
-    frame_at,
     frenet_ode_curve,
     helix,
     inflection_curve,
@@ -14,12 +13,7 @@ from weakfrenet.curves import (
     make_curve,
     polyline_curve,
 )
-from weakfrenet.errors import (
-    BlowUp,
-    EvalOutOfDomain,
-    FrameUndefined,
-    UnknownModel,
-)
+from weakfrenet.errors import BlowUp, EvalOutOfDomain, UnknownModel
 from weakfrenet.polygonal import Polygonal3, discrete_frenet, sanitize
 from weakfrenet.sphere import proj_distance
 
@@ -192,38 +186,20 @@ class TestFrenetOde:
 
 
 class TestFrameAt:
+    """The model `frame` closures at single parameters."""
+
     def test_helix_normal(self):
         c = helix(1.0, 2 * PI)
-        fr = frame_at(c, 0.0)
-        assert np.allclose(fr.n, [-1, 0, 0])
-        assert fr.inflection_order == 2
-        assert fr.k == pytest.approx(0.5)
-        assert fr.tau == pytest.approx(0.5)
-
-    def test_inflection_generalized_frame(self):
-        c = inflection_curve()
-        fr = frame_at(c, 0.0)
-        assert fr.inflection_order == 3
-        assert np.allclose(fr.b, [-1 / R2, 0, 1 / R2])
-        assert np.allclose(fr.n, [0, 1, 0])
+        _, n, _, k, tau = c.frame(np.array(0.0))
+        assert np.allclose(n, [-1, 0, 0])
+        assert float(k) == pytest.approx(0.5)
+        assert float(tau) == pytest.approx(0.5)
 
     def test_inflection_regular_point(self):
         c = inflection_curve()
-        fr = frame_at(c, 0.5)
-        assert fr.k == pytest.approx(R2 * 0.5 / np.sqrt(1 - 0.5**4), abs=1e-12)
-        assert fr.tau == pytest.approx(-fr.k, abs=1e-12)
-
-    def test_numeric_frames_match_analytic(self):
-        for c in (helix(1.0, 2 * PI), inflection_curve()):
-            bare = type(c)(
-                name=c.name, domain=c.domain, position=c.position
-            )
-            for s in (-0.4, 0.3):
-                fa = frame_at(c, s)
-                fn = frame_at(bare, s, numeric=True)
-                assert np.allclose(fa.t, fn.t, atol=1e-4)
-                assert np.allclose(fa.n, fn.n, atol=1e-4)
-                assert abs(fa.k - fn.k) < 1e-4
+        _, _, _, k, tau = c.frame(np.array(0.5))
+        assert float(k) == pytest.approx(R2 * 0.5 / np.sqrt(1 - 0.5**4), abs=1e-12)
+        assert float(tau) == pytest.approx(-float(k), abs=1e-12)
 
     def test_frenet_closure_convergence_order(self):
         c = helix(1.0, 2 * PI)
@@ -237,21 +213,6 @@ class TestFrameAt:
             devs.append(np.max(np.linalg.norm(fd - k[:, None] * n, axis=1)))
         order = np.log2(devs[0] / devs[1])
         assert order >= 0.9
-
-    def test_projective_continuity_across_inflection(self):
-        c = inflection_curve()
-        eps = 1e-5
-        left = frame_at(c, -eps)
-        right = frame_at(c, eps)
-        assert float(proj_distance(left.b, right.b)) < 1e-6 * 10
-        assert float(proj_distance(left.n, right.n)) < 1e-6 * 10
-        # odd order: sphere-valued one-sided normals are opposite
-        assert float(np.dot(left.n, right.n)) < -0.999
-
-    def test_frame_undefined_for_straight_line(self):
-        line = polyline_curve(sanitize(Polygonal3([[0, 0, 0], [1, 0, 0]])))
-        with pytest.raises(FrameUndefined):
-            frame_at(line, 0.5, numeric=True)
 
 
 def modulus_reference(c, params):
@@ -360,6 +321,14 @@ class TestRegistry:
     def test_blowup_model_validation(self):
         with pytest.raises(ValueError):
             make_curve("blowup", delta=2.0)
+
+    def test_unknown_parameter_names(self):
+        make_curve("helix", R=2.0, K=1.0)
+        make_curve("blowup", delta=0.5, step=0.01)
+        for model, params in [("helix", {"r": 3.0}), ("circle", {"K": 1.0}),
+                              ("inflection", {"R": 1.0}), ("blowup", {"steps": 10.0})]:
+            with pytest.raises(ValueError):
+                make_curve(model, **params)
 
     def test_polyline_curve_roundtrip(self, staircase):
         c = polyline_curve(staircase)

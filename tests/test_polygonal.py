@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_polygonal
 from weakfrenet.errors import DegeneratePolygonal, SearchFailed, ZeroTorsion
+from weakfrenet.forces import curvature_force
 from weakfrenet.polygonal import (
     Polygonal3,
     binormal_indicatrix,
@@ -95,6 +96,26 @@ class TestDiscreteFrenet:
         with pytest.raises(DegeneratePolygonal):
             discrete_frenet(P)
 
+    def test_cached_property_and_uncached_error(self, staircase):
+        assert staircase.frenet is staircase.frenet
+        P = sanitize(Polygonal3([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+        for _ in range(2):
+            with pytest.raises(DegeneratePolygonal):
+                P.frenet
+
+    def test_one_pass_per_polygonal(self, frenet_calls):
+        P = sanitize(
+            Polygonal3([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 1, 2]])
+        )
+        tantrix(P)
+        binormal_indicatrix(P)
+        polygonal_measures(P)
+        normal_schedule(P)
+        normal_indicatrix(P)
+        interleaved_pair(P)
+        curvature_force(P)
+        assert len(frenet_calls) == 1 and frenet_calls[0] is P
+
 
 class TestTantrix:
     def test_right_angle_corner(self):
@@ -150,24 +171,25 @@ class TestBinormalIndicatrix:
 class TestMeasures:
     def test_staircase(self, staircase):
         m = polygonal_measures(staircase)
-        assert len(m.curvature_atoms) == 2
-        assert all(a == pytest.approx(PI / 2) for _, a in m.curvature_atoms)
-        assert len(m.torsion_density) == 1
-        seg, density, length = m.torsion_density[0]
-        assert (seg, length) == (1, pytest.approx(1.0))
-        assert density == pytest.approx(PI / 2)
+        assert m.atom_vertices.size == 2
+        assert m.atom_angles == pytest.approx([PI / 2, PI / 2])
+        assert m.density_segments.size == 1
+        assert (m.density_segments[0], m.density_lengths[0]) == (1, pytest.approx(1.0))
+        assert m.densities[0] == pytest.approx(PI / 2)
 
     def test_planar_torsion_empty(self, zigzag):
-        assert polygonal_measures(zigzag).torsion_density == ()
+        m = polygonal_measures(zigzag)
+        assert m.density_segments.size == m.densities.size == m.density_lengths.size == 0
 
     def test_scaling(self, staircase):
         m1 = polygonal_measures(staircase)
         scaled = sanitize(Polygonal3(staircase.vertices * 2.0))
         m2 = polygonal_measures(scaled)
-        assert m2.curvature_atoms == m1.curvature_atoms
+        assert np.array_equal(m2.atom_vertices, m1.atom_vertices)
+        assert np.array_equal(m2.atom_angles, m1.atom_angles)
         assert m2.torsion_mass == pytest.approx(m1.torsion_mass, abs=1e-12)
-        d1 = m1.torsion_density[0][1]
-        d2 = m2.torsion_density[0][1]
+        d1 = m1.densities[0]
+        d2 = m2.densities[0]
         assert d2 == pytest.approx(d1 / 2.0, abs=1e-12)
 
     def test_masses_and_disjoint_supports(self, rng):
@@ -178,8 +200,8 @@ class TestMeasures:
             assert m.curvature_mass == pytest.approx(fr.tc, abs=1e-9)
             assert m.torsion_mass == pytest.approx(fr.tat, abs=1e-9)
             # atoms sit at vertices, densities on open segments
-            assert all(isinstance(i, int) for i, _ in m.curvature_atoms)
-            assert all(isinstance(i, int) for i, _, _ in m.torsion_density)
+            assert m.atom_vertices.dtype.kind == "i"
+            assert m.density_segments.dtype.kind == "i"
 
 
 class TestSchedule:

@@ -7,7 +7,6 @@ from weakfrenet.errors import AmbiguousLift, AntipodalPair, DegenerateArc
 from weakfrenet.sphere import (
     GeodesicPolyline,
     ProjPoint,
-    arc_angle_at_junction,
     arc_tangent,
     canon_rep,
     fold_angle,
@@ -113,9 +112,17 @@ class TestSlerp:
 
 
 class TestJunctionAngles:
+    @staticmethod
+    def turn(prev_start, mid, next_end):
+        """Turn at mid between the sphere arcs prev_start -> mid -> next_end,
+        read off the corner table with every arc live (a zero-length arc
+        raises DegenerateArc)."""
+        path = GeodesicPolyline([prev_start, mid, next_end], "sphere")
+        return float(path.corners(min_arc=-np.inf).turn[0])
+
     def test_same_great_circle(self):
         mid = unit([1, 1, 0])
-        assert arc_angle_at_junction(E1, mid, E2) == pytest.approx(0.0, abs=1e-12)
+        assert self.turn(E1, mid, E2) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_axes(self):
         # oracle: explicit tangents of the two quarter arcs at e2
@@ -123,15 +130,15 @@ class TestJunctionAngles:
         t_out = (E3 - np.cos(np.pi / 2) * E2) / np.sin(np.pi / 2)
         expected = float(np.arccos(np.clip(np.dot(t_in, t_out), -1, 1)))
         assert expected == pytest.approx(np.pi / 2, abs=1e-12)
-        assert arc_angle_at_junction(E1, E2, E3) == pytest.approx(expected, abs=1e-12)
+        assert self.turn(E1, E2, E3) == pytest.approx(expected, abs=1e-12)
 
     def test_backtracking(self):
         mid = unit([1, 1, 0])
-        assert arc_angle_at_junction(E1, mid, E1) == pytest.approx(np.pi, abs=1e-12)
+        assert self.turn(E1, mid, E1) == pytest.approx(np.pi, abs=1e-12)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateArc):
-            arc_angle_at_junction(E1, E1, E2)
+            self.turn(E1, E1, E2)
 
 
 class TestVeronese:

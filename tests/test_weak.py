@@ -62,6 +62,16 @@ class TestRefine:
         for lv in seq.levels:
             assert lv.mesh <= lv.modulus <= 2 * lv.mesh
 
+    def test_one_frenet_pass_per_level(self, frenet_calls):
+        c = helix(1.0, 2 * PI)
+        seq = refine(c, levels=3, base_n=16)
+        weak_tantrix(seq, tol=np.inf)
+        weak_binormal(seq, tol=np.inf)
+        weak_normal(seq, tol=np.inf)
+        verify_reparam_identities(c, seq)
+        assert len(frenet_calls) == 3
+        assert all(P is lv.polygonal for P, lv in zip(frenet_calls, seq.levels))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             refine(helix(), levels=1, base_n=8)
