@@ -33,7 +33,9 @@ def study(name, curve, levels, base_n, targets):
             f"{key.upper():>4} limit estimate {est:.8f}   target {target:.8f}   "
             f"dev {abs(est - target):.2e}"
         )
-    rep = weak.verify_reparam_identities(curve, seq)
+    rep = weak.verify_reparam_identities(
+        curve, weak.weak_tantrix(seq), weak.weak_binormal(seq), weak.weak_normal(seq)
+    )
     print(
         "identity deviations: "
         f"binormal {rep.binormal_dev:.2e}  tantrix {rep.tantrix_dev:.2e}  "

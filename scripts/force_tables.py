@@ -14,7 +14,7 @@ from weakfrenet.curves import helix, inflection_curve
 def main():
     c = helix(1.0, 2 * np.pi)
     seq = weak.refine(c, levels=6, base_n=64)
-    t_c = weak.weak_tantrix(seq, tol=np.inf)
+    t_c = weak.weak_tantrix(seq)
 
     print("=== helix R=1, K=2pi ===")
     T = forces.torsion_force(c, t_c, n_density=8192)
@@ -38,13 +38,13 @@ def main():
     print("\n=== inflection curve ===")
     ci = inflection_curve()
     seqi = weak.refine(ci, levels=6, base_n=64)
-    ti = weak.weak_tantrix(seqi, tol=np.inf)
+    ti = weak.weak_tantrix(seqi)
     Ti = forces.torsion_force(ci, ti)
     for param, w in Ti.atoms:
         print(f"torsion-force atom at k = {param:.6f} "
               f"(pi/(2 sqrt 2) = {np.pi/(2*np.sqrt(2)):.6f}), "
               f"norm {np.linalg.norm(w):.9f} (2)")
-    bi = weak.weak_binormal(seqi, tol=np.inf)
+    bi = weak.weak_binormal(seqi)
     BV = forces.binormal_variation(ci, bi)
     print(f"binormal-variation atoms: {len(BV.atoms)} (no corner points)")
     print(f"binormal-variation mass {BV.total_variation:.8f}   "

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -245,12 +246,17 @@ def _parse_params(items):
 
 
 def cmd_converge(args):
-    curve = make_curve(args.model, **_parse_params(args.params))
+    for flag, tol in (("--tol-converge", args.tol_converge),
+                      ("--tol-identity", args.tol_identity)):
+        if not tol >= 0:
+            raise ValueError(f"{flag} must be a non-negative number, got {tol}")
+    params = _parse_params(args.params)
+    curve = make_curve(args.model, **params)
     seq = weak.refine(curve, levels=args.levels, base_n=args.base_n)
     table = seq.table()
     meshes = [row["mesh"] for row in table]
     report = _base_report("converge", args)
-    report["input"] = {"model": args.model, "params": _parse_params(args.params),
+    report["input"] = {"model": args.model, "params": params,
                        "levels": args.levels, "base_n": args.base_n}
     report["levels"] = [
         {k: _finite(v) if isinstance(v, float) else v for k, v in row.items()}
@@ -266,6 +272,8 @@ def cmd_converge(args):
     return_dir = _parse_vec(args.return_dir) if args.return_dir else None
 
     def attempt(name, builder, filename):
+        """Build one limit and judge its Cauchy gap.  A limit over the
+        tolerance is still returned, for the identities."""
         try:
             obj = builder()
         except ZeroTorsion:
@@ -277,6 +285,10 @@ def cmd_converge(args):
         except NotConverged as exc:
             statuses[name] = f"not-converged: {exc}"
             return None
+        if obj.cauchy_gap > args.tol_converge:
+            statuses[name] = (f"not-converged: cauchy gap {obj.cauchy_gap:.3e} "
+                              f"exceeds tol {args.tol_converge:.1e}")
+            return obj
         statuses[name] = "ok"
         files[name] = write_indicatrix_csv(os.path.join(args.out, filename), obj.curve)
         report[f"{name}_gap"] = _finite(obj.cauchy_gap)
@@ -284,24 +296,15 @@ def cmd_converge(args):
             statuses[name] = f"warning: {obj.warning}"
         return obj
 
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        attempt("weak_tantrix",
-                lambda: weak.weak_tantrix(seq, tol=args.tol_converge, return_dir=return_dir),
-                "weak_tantrix.csv")
-        attempt("weak_binormal",
-                lambda: weak.weak_binormal(seq, tol=args.tol_converge),
-                "weak_binormal.csv")
-        attempt("weak_normal",
-                lambda: weak.weak_normal(seq, tol=args.tol_converge),
-                "weak_normal.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        t_c = attempt("weak_tantrix", lambda: weak.weak_tantrix(seq, return_dir=return_dir),
+                      "weak_tantrix.csv")
+        b_c = attempt("weak_binormal", lambda: weak.weak_binormal(seq), "weak_binormal.csv")
+        n_c = attempt("weak_normal", lambda: weak.weak_normal(seq), "weak_normal.csv")
 
     if curve.has_frame:
-        ident = weak.verify_reparam_identities(
-            curve, seq, tol=args.tol_identity, return_dir=return_dir
-        )
+        ident = weak.verify_reparam_identities(curve, t_c, b_c, n_c, tol=args.tol_identity)
         report["identities"] = ident.as_dict()
     report["weak_status"] = statuses
     report["files"] = files
@@ -336,10 +339,11 @@ def cmd_forces(args):
         emit_report(report, args.report)
         return EXIT_OK
 
-    curve = make_curve(args.model, **_parse_params(args.params))
+    params = _parse_params(args.params)
+    curve = make_curve(args.model, **params)
     if not curve.has_frame:
         raise WeakFrenetError("force tables for curve models need a frame")
-    report["input"] = {"model": args.model, "params": _parse_params(args.params)}
+    report["input"] = {"model": args.model, "params": params}
     K = forces.curvature_force(curve)
     star, tc = forces.tc_star(K)
     files["curvature_density"] = write_density_csv(
@@ -351,7 +355,7 @@ def cmd_forces(args):
         "tc": _finite(tc),
     }
     seq = weak.refine(curve, levels=args.levels, base_n=args.base_n)
-    t_c = weak.weak_tantrix(seq, tol=np.inf)
+    t_c = weak.weak_tantrix(seq)
     T = forces.torsion_force(curve, t_c)
     files["torsion_density"] = write_density_csv(
         os.path.join(args.out, "torsion_density.csv"), T
@@ -362,7 +366,7 @@ def cmd_forces(args):
         "density_mass": _finite(T.density_mass),
     }
     try:
-        b_c = weak.weak_binormal(seq, tol=np.inf)
+        b_c = weak.weak_binormal(seq)
         BV = forces.binormal_variation(curve, b_c)
         files["binormal_density"] = write_density_csv(
             os.path.join(args.out, "binormal_density.csv"), BV

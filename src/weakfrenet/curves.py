@@ -219,8 +219,9 @@ def frenet_ode_curve(
     carries cum_curvature / cum_abs_torsion closures built from the same
     Gauss-point values of the profiles.
 
-    With step=None the step is halved (from 256 steps) until the endpoint
-    moves by less than endpoint_tol under one further halving.  Profiles are
+    A given step must be finite and positive.  With step=None the step is
+    halved (from 256 steps) until the endpoint moves by less than
+    endpoint_tol under one further halving.  Profiles are
     scalar callables and must be finite at every node and Gauss point;
     otherwise BlowUp is raised (truncate the domain below the singularity).
     """
@@ -233,6 +234,8 @@ def frenet_ode_curve(
         start = (np.asarray(start[0], dtype=float), np.array(start[1:], dtype=float))
 
     if step is not None:
+        if not (np.isfinite(step) and step > 0):
+            raise ValueError(f"step must be a finite positive number, got {step}")
         return _integrate_frenet(k_profile, tau_profile, a, b, step, start)
 
     n_steps = 256

@@ -290,6 +290,8 @@ def first_variation_check(curve, measure, fields, n_quad=4096):
     for a cumulative-curvature measure it is the quadrature of
     dt_c/dk . xi' = n(s1(k)) . xi'(k) (tangential fields).
     """
+    if n_quad < 1:
+        raise ValueError(f"n_quad must be at least 1, got {n_quad}")
     a, b = measure.domain
     grid = np.linspace(a, b, n_quad + 1)
     h_fd = (b - a) * 1e-7

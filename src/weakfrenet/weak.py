@@ -36,9 +36,6 @@ from .sphere import (
     unit,
 )
 
-DEFAULT_TOL = 1e-3
-
-
 @dataclass(frozen=True)
 class RefinementLevel:
     n_params: int
@@ -144,14 +141,15 @@ def estimate_limit(values, meshes, n_use=5):
 class WeakIndicatrix:
     """Constant-speed limit curve of a refinement sequence.
 
-    `curve` is the finest level's indicatrix (arc-length parameterized);
-    eval_scaled maps any domain [0, total] onto it with constant speed.
+    `curve` is the finest level's indicatrix (arc-length parameterized) and
+    `cauchy_gap` its sup distance to the previous level's; judging the gap
+    is left to the caller.  eval_scaled maps any domain [0, total] onto the
+    curve with constant speed.
     """
 
     curve: GeodesicPolyline
     total_length: float
     cauchy_gap: float
-    level_lengths: tuple
     warning: str = ""
 
     @property
@@ -168,7 +166,16 @@ class WeakIndicatrix:
         return self.curve.eval(s * (self.curve.total_length / total))
 
 
-def weak_binormal(seq, tol=DEFAULT_TOL):
+def _limit(prev, final, total_length, warning=""):
+    return WeakIndicatrix(
+        curve=final,
+        total_length=total_length,
+        cauchy_gap=sup_distance(prev, final),
+        warning=warning,
+    )
+
+
+def weak_binormal(seq):
     """Weak binormal: constant-speed limit of the binormal indicatrices."""
     curves = []
     for lv in seq.levels[-2:]:
@@ -180,15 +187,7 @@ def weak_binormal(seq, tol=DEFAULT_TOL):
         raise ZeroTorsion("final level has (numerically) zero total torsion")
     if curves[0] is None:
         raise NotConverged("previous level is planar; refine further")
-    gap = sup_distance(curves[0], curves[1])
-    if gap > tol:
-        raise NotConverged(f"cauchy gap {gap:.3e} exceeds tol {tol:.1e}")
-    return WeakIndicatrix(
-        curve=curves[1],
-        total_length=seq.final.tat,
-        cauchy_gap=gap,
-        level_lengths=tuple(lv.tat for lv in seq.levels),
-    )
+    return _limit(*curves, seq.final.tat)
 
 
 def _tantrix_with_policy(P, return_dir):
@@ -197,31 +196,29 @@ def _tantrix_with_policy(P, return_dir):
     return_dir orthogonal to the incoming tangent."""
     if not P.return_points:
         return tantrix(P)
-    verts = P.vertices
     segs = P.segment_vectors()
     t = segs / np.linalg.norm(segs, axis=1)[:, None]
-    pts = [t[0]]
-    cum = [0.0]
+    # junction j joins segments j and j+1 (mod m when closed) at vertex j+1
+    ta, tb = (t, np.roll(t, -1, axis=0)) if P.closed else (t[:-1], t[1:])
+    ret = np.flatnonzero(
+        np.isin((np.arange(ta.shape[0]) + 1) % P.n_vertices, P.return_points)
+    )
     u = unit(np.asarray(return_dir, dtype=float))
-    return_verts = set(P.return_points)
-    for i in range(t.shape[0] - 1):
-        # junction between segments i and i+1 sits at vertex i+1
-        if (i + 1) in return_verts:
-            w = u - np.dot(u, t[i]) * t[i]
-            if np.linalg.norm(w) < 1e-9:
-                raise AmbiguousReturnPoint(
-                    "return direction is parallel to the tangent at a return point"
-                )
-            w = unit(w)
-            pts.extend([w, t[i + 1]])
-            cum.extend([cum[-1] + np.pi / 2, cum[-1] + np.pi])
-        else:
-            pts.append(t[i + 1])
-            cum.append(cum[-1] + float(sphere_distance(t[i], t[i + 1])))
-    return GeodesicPolyline(np.array(pts), "sphere", np.array(cum))
+    w = u - (ta[ret] @ u)[:, None] * ta[ret]
+    w_norm = np.linalg.norm(w, axis=1)
+    if np.any(w_norm < 1e-9):
+        raise AmbiguousReturnPoint(
+            "return direction is parallel to the tangent at a return point"
+        )
+    # a return junction's arc is two quarter circles through w
+    arcs = sphere_distance(ta, tb)
+    arcs[ret] = np.pi / 2
+    cum = np.concatenate([[0.0], np.cumsum(np.insert(arcs, ret, np.pi / 2))])
+    pts = np.insert(np.vstack([t[:1], tb]), ret + 1, w / w_norm[:, None], axis=0)
+    return GeodesicPolyline(pts, "sphere", cum)
 
 
-def weak_tantrix(seq, tol=DEFAULT_TOL, return_dir=None):
+def weak_tantrix(seq, return_dir=None):
     """Weak tantrix: constant-speed limit of the tangent indicatrices.
 
     Inputs with points of return need an explicit geodesic-choice direction
@@ -239,20 +236,10 @@ def weak_tantrix(seq, tol=DEFAULT_TOL, return_dir=None):
             curves.append(tantrix(lv.polygonal))
     if curves[-1].total_length < 1e-12:
         raise DegeneratePolygonal("final level has zero total curvature")
-    gap = sup_distance(curves[0], curves[1])
-    if gap > tol:
-        raise NotConverged(f"cauchy gap {gap:.3e} exceeds tol {tol:.1e}")
-    return WeakIndicatrix(
-        curve=curves[1],
-        total_length=curves[1].total_length,
-        cauchy_gap=gap,
-        level_lengths=tuple(
-            lv.tc if np.isfinite(lv.tc) else np.nan for lv in seq.levels
-        ),
-    )
+    return _limit(*curves, curves[1].total_length)
 
 
-def weak_normal(seq, tol=DEFAULT_TOL):
+def weak_normal(seq):
     """Weak normal: constant-speed limit of the normal indicatrices.
 
     Emits (with a warning recorded on the result) even when the complete
@@ -262,9 +249,6 @@ def weak_normal(seq, tol=DEFAULT_TOL):
     curves = [normal_indicatrix(lv.polygonal) for lv in seq.levels[-2:]]
     if curves[-1].total_length <= 0:
         raise DegeneratePolygonal("TC + TAT vanishes at the final level")
-    gap = sup_distance(curves[0], curves[1])
-    if gap > tol:
-        raise NotConverged(f"cauchy gap {gap:.3e} exceeds tol {tol:.1e}")
     warning = ""
     cts = [lv.ct for lv in seq.levels if np.isfinite(lv.ct)]
     if len(cts) >= 3:
@@ -272,15 +256,7 @@ def weak_normal(seq, tol=DEFAULT_TOL):
         if gaps[-1] > 1e-9 and gaps[-1] >= gaps[-2] >= 1e-9:
             warning = "complete torsion not settling; weak normal unreliable"
             warnings.warn(warning, UnboundedVariationWarning)
-    return WeakIndicatrix(
-        curve=curves[1],
-        total_length=curves[1].total_length,
-        cauchy_gap=gap,
-        level_lengths=tuple(
-            lv.tc + lv.tat if np.isfinite(lv.tc) else np.nan for lv in seq.levels
-        ),
-        warning=warning,
-    )
+    return _limit(*curves, curves[1].total_length, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +291,12 @@ class IdentityReport:
         }
 
 
-def verify_reparam_identities(curve, seq, n_grid=64, tol=1e-2, return_dir=None):
+def verify_reparam_identities(curve, t_c, b_c, n_c, n_grid=64, tol=1e-2):
     """Check b_c(t(s)) = [b(s)], t_c(k(s)) = t(s), n_c(rho(s)) = [n(s)] on an
     interior s-grid, with t, k, rho the cumulative |tau|, k, k + |tau| read
-    from the curve's cum_abs_torsion / cum_curvature closures."""
+    from the curve's cum_abs_torsion / cum_curvature closures.  The limits
+    are WeakIndicatrix objects of the curve's refinement; a limit given as
+    None reports a NaN deviation."""
     if not curve.has_frame:
         raise ValueError("identities need an analytic frame")
     a, b = curve.domain
@@ -330,29 +308,16 @@ def verify_reparam_identities(curve, seq, n_grid=64, tol=1e-2, return_dir=None):
     # at the padded grid end
     K_total = float(curve.cum_curvature(b))
     T_total = float(curve.cum_abs_torsion(b))
-    t_ana, n_ana, b_ana, _, tau_ana = curve.frame(s_grid)
+    t_ana, n_ana, b_ana, _, _ = curve.frame(s_grid)
 
-    tantrix_dev = binormal_dev = normal_dev = float("nan")
-
-    t_c = weak_tantrix(seq, tol=np.inf, return_dir=return_dir)
-    pts = t_c.eval_scaled(K, max(K_total, 1e-300))
-    tantrix_dev = float(np.max(sphere_distance(pts, t_ana)))
-
-    if np.max(np.abs(tau_ana)) > 1e-12:
-        try:
-            b_c = weak_binormal(seq, tol=np.inf)
-            pts = b_c.eval_scaled(T, max(T_total, 1e-300))
-            binormal_dev = float(np.max(proj_distance(pts, b_ana)))
-        except ZeroTorsion:
-            pass
-
-    n_c = weak_normal(seq, tol=np.inf)
-    pts = n_c.eval_scaled(K + T, max(K_total + T_total, 1e-300))
-    normal_dev = float(np.max(proj_distance(pts, n_ana)))
+    def deviation(limit, cum, total, ana, dist):
+        if limit is None:
+            return float("nan")
+        return float(np.max(dist(limit.eval_scaled(cum, max(total, 1e-300)), ana)))
 
     return IdentityReport(
-        binormal_dev=binormal_dev,
-        tantrix_dev=tantrix_dev,
-        normal_dev=normal_dev,
+        binormal_dev=deviation(b_c, T, T_total, b_ana, proj_distance),
+        tantrix_dev=deviation(t_c, K, K_total, t_ana, sphere_distance),
+        normal_dev=deviation(n_c, K + T, K_total + T_total, n_ana, proj_distance),
         tol=tol,
     )

@@ -59,7 +59,7 @@ def helix_level8():
 def helix_tantrix_fine():
     c = helix(1.0, 2 * PI)
     seq = weak.refine(c, levels=2, base_n=32768)
-    return c, weak.weak_tantrix(seq, tol=np.inf)
+    return c, weak.weak_tantrix(seq)
 
 
 def test_01_inflection_totals(inflection_converge, capsys):
@@ -131,7 +131,10 @@ def test_03_complete_torsion_gap(inflection_converge, capsys):
 
 def test_04_reparam_identities(helix_level8, capsys):
     c, seq = helix_level8
-    rep = weak.verify_reparam_identities(c, seq, n_grid=64, tol=1e-2)
+    rep = weak.verify_reparam_identities(
+        c, weak.weak_tantrix(seq), weak.weak_binormal(seq), weak.weak_normal(seq),
+        n_grid=64, tol=1e-2,
+    )
     ok = rep.binormal_dev < 1e-2 and rep.tantrix_dev < 1e-2 and rep.normal_dev < 1e-2
     with capsys.disabled():
         report_line(
@@ -229,9 +232,9 @@ def test_07_nonmonotonicity_witness(tmp_path, capsys):
 def test_08_torsion_force_atom(capsys):
     c = inflection_curve()
     seq = weak.refine(c, levels=6, base_n=64)
-    t_c = weak.weak_tantrix(seq, tol=np.inf)
+    t_c = weak.weak_tantrix(seq)
     m = forces.torsion_force(c, t_c)
-    b_c = weak.weak_binormal(seq, tol=np.inf)
+    b_c = weak.weak_binormal(seq)
     bv = forces.binormal_variation(c, b_c)
     n_atoms = len(m.atoms)
     if n_atoms == 1:

@@ -202,6 +202,51 @@ class TestConverge:
         assert report["status"] == "not-converged"
 
 
+    @pytest.mark.parametrize("step", ["0", "-1", "inf"])
+    def test_blowup_step_validated(self, tmp_path, capsys, step):
+        code, report = run(
+            ["converge", "--model", "blowup", "--params", f"delta=0.05,step={step}",
+             "--levels", "2", "--base-n", "8", "--out", str(tmp_path / "s")],
+            capsys,
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert "step" in report["error"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-converge", "nan"), ("--tol-converge", "-1e-3"),
+        ("--tol-identity", "nan"), ("--tol-identity", "-1"),
+    ])
+    def test_meaningless_tolerance_rejected(self, tmp_path, capsys, flag, value):
+        code, report = run(
+            ["converge", "--model", "helix", "--levels", "2", "--base-n", "8",
+             f"{flag}={value}", "--out", str(tmp_path / "t")],
+            capsys,
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert flag in report["error"]
+
+    def test_each_limit_built_once(self, tmp_path, capsys, monkeypatch):
+        from weakfrenet import weak
+
+        calls = {}
+        for name in ("tantrix", "binormal_indicatrix", "normal_indicatrix"):
+            def counted(P, _name=name, _original=getattr(weak, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(P)
+
+            monkeypatch.setattr(weak, name, counted)
+        code, report = run(
+            ["converge", "--model", "helix", "--levels", "3", "--base-n", "8",
+             "--tol-converge", "1e-9", "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 3
+        assert None not in report["identities"].values()
+        assert calls == {"tantrix": 2, "binormal_indicatrix": 2, "normal_indicatrix": 2}
+
+
 class TestForcesCmd:
     def test_square_atoms(self, square_json, capsys):
         code, report = run(["forces", "--input", square_json], capsys)
@@ -237,6 +282,16 @@ class TestForcesCmd:
         assert rows[0] == "param,vx,vy,vz,step"
         vx, vy, vz = (float(x) for x in rows[1].split(",")[1:4])
         assert np.hypot(np.hypot(vx, vy), vz) == pytest.approx(1.0, abs=1e-9)
+
+    def test_empty_quadrature_rejected(self, tmp_path, capsys):
+        code, report = run(
+            ["forces", "--model", "helix", "--levels", "2", "--base-n", "16",
+             "--quad", "0", "--out", str(tmp_path / "q")],
+            capsys,
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert "n_quad" in report["error"]
 
     def test_requires_input_or_model(self, capsys):
         with pytest.raises(SystemExit):

@@ -130,6 +130,11 @@ class TestFrenetOde:
         with pytest.raises(BlowUp):
             frenet_ode_curve(lambda s: 1.0, lambda s: 1.0 / (0.25 - s), (0.0, 1.0))
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+    def test_step_must_be_finite_positive(self, step):
+        with pytest.raises(ValueError, match="step"):
+            frenet_ode_curve(lambda s: 1.0, lambda s: 0.5, (0.0, 1.0), step=step)
+
     def test_truncated_blowup_profile(self):
         delta = 1e-2
         c = frenet_ode_curve(

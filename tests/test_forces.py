@@ -90,7 +90,7 @@ class TestTcStar:
 def helix_tantrix():
     c = helix(1.0, 2 * PI)
     seq = refine(c, levels=5, base_n=64)
-    return c, weak_tantrix(seq, tol=np.inf)
+    return c, weak_tantrix(seq)
 
 
 class TestTorsionForce:
@@ -105,7 +105,7 @@ class TestTorsionForce:
     def test_planar_convex_zero(self):
         c = helix(1.0, 0.0)
         seq = refine(c, levels=2, base_n=32)
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         m = torsion_force(c, t_c)
         assert m.atoms == ()
         assert m.total_variation == pytest.approx(0.0, abs=1e-12)
@@ -113,7 +113,7 @@ class TestTorsionForce:
     def test_inflection_atom(self):
         c = inflection_curve()
         seq = refine(c, levels=5, base_n=64)
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         m = torsion_force(c, t_c)
         assert len(m.atoms) == 1
         param, w = m.atoms[0]
@@ -130,7 +130,7 @@ class TestBinormalVariation:
     def test_helix_mass(self, helix_tantrix):
         c, _ = helix_tantrix
         seq = refine(c, levels=5, base_n=64)
-        b_c = weak_binormal(seq, tol=np.inf)
+        b_c = weak_binormal(seq)
         m = binormal_variation(c, b_c, n_density=4096)
         assert m.atoms == ()
         assert m.total_variation == pytest.approx(PI * R2, abs=1e-9)  # int k
@@ -160,7 +160,7 @@ class TestBinormalVariation:
     def test_inflection_no_atoms(self):
         c = inflection_curve()
         seq = refine(c, levels=6, base_n=64)
-        b_c = weak_binormal(seq, tol=np.inf)
+        b_c = weak_binormal(seq)
         m = binormal_variation(c, b_c)
         assert m.atoms == ()
         assert m.total_variation == pytest.approx(PI / R2, abs=1e-6)
@@ -214,6 +214,14 @@ class TestFirstVariation:
         rep = first_variation_check(c, m, [fd_only], n_quad=1024)
         assert rep.max_mismatch < 1e-3
 
+    @pytest.mark.parametrize("n_quad", [0, -4])
+    def test_empty_quadrature_rejected(self, helix_tantrix, n_quad):
+        c, t_c = helix_tantrix
+        m = torsion_force(c, t_c, n_density=2048)
+        fields = make_tangential_bumps(c, 1, seed=9)
+        with pytest.raises(ValueError, match="n_quad"):
+            first_variation_check(c, m, fields, n_quad=n_quad)
+
 
 class TestDarboux:
     def test_analytic_tantrix_identities(self):
@@ -238,7 +246,7 @@ class TestDarboux:
     def test_refined_tantrix_identities(self):
         c = helix(1.0, 2 * PI)
         seq = refine(c, levels=2, base_n=16384)
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         C = t_c.total_length
         ks = np.linspace(0.2 * C, 0.8 * C, 16)
         kg, kn = darboux_curvatures(t_c, ks, h=0.02)

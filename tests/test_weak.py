@@ -30,6 +30,17 @@ PI = np.pi
 R2 = np.sqrt(2.0)
 
 
+def identities(c, seq, **kwargs):
+    """verify_reparam_identities on the three weak limits of seq."""
+    try:
+        b_c = weak_binormal(seq)
+    except ZeroTorsion:
+        b_c = None
+    return verify_reparam_identities(
+        c, weak_tantrix(seq), b_c, weak_normal(seq), **kwargs
+    )
+
+
 class TestRefine:
     def test_circle_torsion_free(self):
         seq = refine(helix(1.0, 0.0), levels=3, base_n=8)
@@ -65,10 +76,9 @@ class TestRefine:
     def test_one_frenet_pass_per_level(self, frenet_calls):
         c = helix(1.0, 2 * PI)
         seq = refine(c, levels=3, base_n=16)
-        weak_tantrix(seq, tol=np.inf)
-        weak_binormal(seq, tol=np.inf)
-        weak_normal(seq, tol=np.inf)
-        verify_reparam_identities(c, seq)
+        verify_reparam_identities(
+            c, weak_tantrix(seq), weak_binormal(seq), weak_normal(seq)
+        )
         assert len(frenet_calls) == 3
         assert all(P is lv.polygonal for P, lv in zip(frenet_calls, seq.levels))
 
@@ -99,7 +109,8 @@ class TestWeakBinormal:
     def test_helix_matches_analytic_binormal(self):
         c = helix(1.0, 2 * PI)
         seq = refine(c, levels=7, base_n=32)
-        b_c = weak_binormal(seq, tol=5e-3)
+        b_c = weak_binormal(seq)
+        assert b_c.cauchy_gap <= 5e-3
         # Frenet oracle: b(s) with s the inverse of t = int |tau| (linear
         # here), so b_c(t) should equal [b(s_2(t))] after the constant-speed
         # rescaling of the discrete domain onto [0, TAT(c)]
@@ -117,12 +128,20 @@ class TestWeakBinormal:
 
     def test_not_converged_at_tight_tolerance(self):
         seq = refine(helix(1.0, 2 * PI), levels=2, base_n=8)
-        with pytest.raises(NotConverged):
-            weak_binormal(seq, tol=1e-9)
+        assert weak_binormal(seq).cauchy_gap > 1e-9
+
+    def test_planar_previous_level_not_converged(self, staircase, square):
+        import dataclasses
+
+        seq = refine(polyline_curve(staircase), levels=2, base_n=8)
+        planar = dataclasses.replace(seq.levels[0], polygonal=square)
+        doctored = type(seq)(curve=seq.curve, levels=(planar, seq.final))
+        with pytest.raises(NotConverged, match="previous level is planar"):
+            weak_binormal(doctored)
 
     def test_inflection_binormal_has_no_corner(self):
         seq = refine(inflection_curve(), levels=7, base_n=32)
-        b_c = weak_binormal(seq, tol=np.inf)
+        b_c = weak_binormal(seq)
         mid = b_c.total_length / 2
         # probe junction turning angles near the inflection: folded into
         # projective classes they stay small (no corner)
@@ -134,7 +153,8 @@ class TestWeakTantrix:
     def test_circle_great_circle_unit_speed(self):
         # closed tantrices carry a half-cell phase between levels
         seq = refine(helix(1.0, 0.0), levels=4, base_n=32)
-        t_c = weak_tantrix(seq, tol=5e-2)
+        t_c = weak_tantrix(seq)
+        assert t_c.cauchy_gap <= 5e-2
         s = np.linspace(0, t_c.total_length, 100)
         pts = t_c.eval(s)
         assert np.allclose(pts[:, 2], 0.0, atol=1e-12)  # equatorial
@@ -142,7 +162,7 @@ class TestWeakTantrix:
 
     def test_inflection_formula(self):
         seq = refine(inflection_curve(), levels=8, base_n=64)
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         ks = np.linspace(0.0, t_c.total_length, 257)
         pts = t_c.eval(ks)
         kk = ks * (PI / R2) / t_c.total_length
@@ -153,7 +173,7 @@ class TestWeakTantrix:
 
     def test_inflection_corner_angle_pi(self):
         seq = refine(inflection_curve(), levels=6, base_n=64)
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         turns = t_c.curve.corners(min_arc=1e-12).turn
         corners = turns[turns > 0.3]
         assert len(corners) == 1
@@ -161,7 +181,7 @@ class TestWeakTantrix:
 
     def test_speed_away_from_breakpoints(self):
         seq = refine(helix(1.0, 2 * PI), levels=4, base_n=32)
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         h = 1e-7
         rngl = np.random.default_rng(0)
         s0 = rngl.uniform(0.1, t_c.total_length - 0.1, 50)
@@ -191,6 +211,20 @@ class TestReturnPoints:
         with pytest.raises(AmbiguousReturnPoint):
             weak_tantrix(seq, return_dir=np.array([1.0, 0.0, 0.0]))
 
+    def test_closed_polygonal_keeps_closing_arc(self):
+        # turns pi/2, pi (return), pi/4 and, across the wrap, 3pi/4
+        P = sanitize(
+            Polygonal3([[0, 0, 0], [1, 0, 0], [1, 2, 0], [1, 1, 0]], closed=True)
+        )
+        assert P.return_points == (2,)
+        seq = refine(polyline_curve(P), levels=3, base_n=8)
+        t_c = weak_tantrix(seq, return_dir=np.array([0.0, 0.0, 1.0]))
+        assert t_c.total_length == pytest.approx(5 * PI / 2, abs=1e-12)
+        assert t_c.total_length >= 2 * PI  # Fenchel
+        pts = t_c.curve.points
+        assert np.allclose(pts[0], pts[-1], atol=1e-12)
+        assert np.isclose(pts[:, 2], 1.0, atol=1e-12).sum() == 1
+
 
 class TestWeakNormal:
     def test_planar_square_rotation(self):
@@ -198,17 +232,19 @@ class TestWeakNormal:
             Polygonal3([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], closed=True)
         )
         seq = refine(polyline_curve(P), levels=3, base_n=16)
-        n_c = weak_normal(seq, tol=1e-9)
+        n_c = weak_normal(seq)
+        assert n_c.cauchy_gap <= 1e-9
         assert n_c.total_length == pytest.approx(2 * PI, abs=1e-9)
         # projected in-plane normal rotation: n = +-e3 x t
-        t_c = weak_tantrix(seq, tol=np.inf)
+        t_c = weak_tantrix(seq)
         s = np.linspace(0, 2 * PI, 100)
         expected = np.cross([0, 0, 1], t_c.eval(s))
         assert float(np.max(proj_distance(n_c.eval(s), expected))) < 1e-9
 
     def test_helix_length(self):
         seq = refine(helix(1.0, 2 * PI), levels=6, base_n=64)
-        n_c = weak_normal(seq, tol=5e-3)
+        n_c = weak_normal(seq)
+        assert n_c.cauchy_gap <= 5e-3
         est = estimate_limit(
             [lv.tc + lv.tat for lv in seq.levels], [lv.mesh for lv in seq.levels]
         )
@@ -229,7 +265,7 @@ class TestWeakNormal:
             ),
         )
         with pytest.warns(UnboundedVariationWarning):
-            n_c = weak_normal(doctored, tol=np.inf)
+            n_c = weak_normal(doctored)
         assert "not settling" in n_c.warning
 
 
@@ -242,12 +278,13 @@ class TestFixedPoint:
         for lv in settled:
             assert lv.tat == pytest.approx(fr.tat, abs=1e-12)
             assert lv.tc == pytest.approx(fr.tc, abs=1e-12)
-        b_c = weak_binormal(seq, tol=1e-9)
+        b_c = weak_binormal(seq)
         assert sup_distance(b_c.curve, binormal_indicatrix(staircase)) < 1e-9
-        t_c = weak_tantrix(seq, tol=1e-9)
+        t_c = weak_tantrix(seq)
         assert sup_distance(t_c.curve, tantrix(staircase)) < 1e-9
-        n_c = weak_normal(seq, tol=1e-9)
+        n_c = weak_normal(seq)
         assert sup_distance(n_c.curve, normal_indicatrix(staircase)) < 1e-9
+        assert max(b_c.cauchy_gap, t_c.cauchy_gap, n_c.cauchy_gap) <= 1e-9
 
 
 class TestLimitIndependence:
@@ -255,8 +292,8 @@ class TestLimitIndependence:
         c = helix(1.0, 2 * PI)
         uni = refine(c, levels=6, base_n=32)
         rnd = refine(c, levels=6, base_n=32, rng=np.random.default_rng(11))
-        b_u = weak_binormal(uni, tol=np.inf)
-        b_r = weak_binormal(rnd, tol=np.inf)
+        b_u = weak_binormal(uni)
+        b_r = weak_binormal(rnd)
         gap_bound = 2 * max(b_u.cauchy_gap, b_r.cauchy_gap)
         assert sup_distance(b_u.curve, b_r.curve) <= gap_bound
         # both schedules approach the same total absolute torsion
@@ -275,7 +312,7 @@ class TestIdentities:
     def test_helix_identities(self):
         c = helix(1.0, 2 * PI)
         seq = refine(c, levels=8, base_n=64)
-        rep = verify_reparam_identities(c, seq, tol=1e-2)
+        rep = identities(c, seq, tol=1e-2)
         assert rep.passed
         assert rep.binormal_dev < 1e-2
         assert rep.tantrix_dev < 1e-2
@@ -286,7 +323,7 @@ class TestIdentities:
     def test_circle_only_tantrix_identity(self):
         c = helix(1.0, 0.0)
         seq = refine(c, levels=6, base_n=64)
-        rep = verify_reparam_identities(c, seq, tol=1e-2)
+        rep = identities(c, seq, tol=1e-2)
         assert np.isnan(rep.binormal_dev)
         assert rep.tantrix_dev < 1e-2
         assert rep.passed
@@ -294,7 +331,7 @@ class TestIdentities:
     def test_inflection_binormal_identity_across_flip(self):
         c = inflection_curve()
         seq = refine(c, levels=7, base_n=64)
-        b_c = weak_binormal(seq, tol=np.inf)
+        b_c = weak_binormal(seq)
         # identity check across s = 0: [b(s_2(t))] stays close to b_c,
         # including through the projective sign flip
         s_grid = np.linspace(-0.3, 0.3, 41)
