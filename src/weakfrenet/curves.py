@@ -32,7 +32,6 @@ class ParamCurve:
     position: callable
     d1: callable = None
     frame: callable = None
-    arclength: bool = True
     closed: bool = False  # geometrically closed loop (endpoints identified)
     cum_curvature: callable = None
     cum_abs_torsion: callable = None
@@ -377,13 +376,15 @@ def _integrate_frenet(k_profile, tau_profile, a, b, step, start):
 @dataclass(frozen=True)
 class Inscription:
     """Inscribed polygonal together with its mesh (longest chord) and its
-    modulus (largest sub-arc diameter over N_SUB_MODULUS samples per cell).
+    modulus (largest sub-arc diameter).
 
-    A cell whose sample steps all lie within pi/4 of its chord has pairwise
-    steps at most pi/2 apart, so distances between samples grow along the
-    cell and its diameter is the chord.  Other cells take the exact maximum
-    over all sample pairs.  The end samples of a cell are its vertices, so
-    mesh <= modulus holds exactly.
+    Any two tangents of a sub-arc turning by less than pi/2 are less than
+    pi/2 apart, so distances grow along it and its diameter is its chord
+    (Milnor 1950).  A cell with a positive chord whose turn, by the curve's
+    cum_curvature closure, is below TURN_CERTIFIED is certified unsampled.
+    Other cells, and all cells of a curve without a closure, take the exact
+    maximum over all pairs of N_SUB_MODULUS samples whose end samples are
+    the cell's vertices, so mesh <= modulus holds exactly.
     """
 
     polygonal: Polygonal3
@@ -392,6 +393,8 @@ class Inscription:
 
 
 N_SUB_MODULUS = 64
+# well below pi/2, because a closure carries its own quadrature error
+TURN_CERTIFIED = np.pi / 4
 
 
 def inscribe(c, params):
@@ -399,25 +402,21 @@ def inscribe(c, params):
     if params.ndim != 1 or params.size < 2 or np.any(np.diff(params) <= 0):
         raise ValueError("params must be strictly increasing with >= 2 entries")
     verts = c.eval(params)
-    chord_vecs = np.diff(verts, axis=0)
-    chords = np.linalg.norm(chord_vecs, axis=1)
+    chords = np.linalg.norm(np.diff(verts, axis=0), axis=1)
     mesh = float(np.max(chords))
 
-    lam = np.linspace(0.0, 1.0, N_SUB_MODULUS)[1:-1]
-    sub = params[:-1, None] + np.diff(params)[:, None] * lam[None, :]
-    inner = c.eval(sub.reshape(-1)).reshape(sub.shape + (3,))
-    pts = np.concatenate([verts[:-1, None], inner, verts[1:, None]], axis=1)
-    steps = np.diff(pts, axis=1)
-    along = np.einsum("cjk,ck->cj", steps, chord_vecs)
-    step_len = np.sqrt(np.einsum("cjk,cjk->cj", steps, steps))
-    # strict, so a zero chord or a repeated sample sends the cell to the
-    # exact all-pairs maximum below, taken one sample lag at a time
-    certified = np.all(along > np.sqrt(0.5) * step_len * chords[:, None], axis=1)
-    rest = pts[~certified]
+    turn = np.inf if c.cum_curvature is None else np.diff(c.cum_curvature(params))
+    sampled = np.flatnonzero(~((chords > 0) & (turn < TURN_CERTIFIED)))
     max_d2 = 0.0
-    for lag in range(1, N_SUB_MODULUS):
-        d = rest[:, lag:] - rest[:, :-lag]
-        max_d2 = max(max_d2, float(np.max(np.sum(d * d, axis=-1), initial=0.0)))
+    if sampled.size:
+        lam = np.linspace(0.0, 1.0, N_SUB_MODULUS)[1:-1]
+        sub = params[sampled, None] + np.diff(params)[sampled, None] * lam[None, :]
+        inner = c.eval(sub.reshape(-1)).reshape(sub.shape + (3,))
+        pts = np.concatenate([verts[sampled, None], inner, verts[sampled + 1, None]], axis=1)
+        # exact all-pairs maximum, one sample lag at a time
+        for lag in range(1, N_SUB_MODULUS):
+            d = pts[:, lag:] - pts[:, :-lag]
+            max_d2 = max(max_d2, float(np.max(np.sum(d * d, axis=-1))))
     modulus = max(mesh, float(np.sqrt(max_d2)))
 
     scale = max(float(np.max(np.abs(verts))), 1.0)

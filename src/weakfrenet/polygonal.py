@@ -139,7 +139,6 @@ def sanitize(P, eps_align=EPS_ALIGN):
     else:
         raise DegeneratePolygonal("sanitation did not stabilize")
 
-    flags = _junction_flags(verts, closed, eps_align)
     if closed:
         returns = tuple(int(i) for i in np.where(flags == -1)[0])
     else:
@@ -251,18 +250,13 @@ def discrete_frenet(P, eps_align=EPS_ALIGN):
 
 
 def _fill_undefined_binormals(binormals, defined):
-    """Coplanar-run fallback: b_i = b_{i-1}; a leading run copies forward
-    from the first defined binormal."""
-    out = binormals.copy()
-    idx = np.where(defined)[0]
+    """Coplanar-run fallback: an undefined binormal copies the last defined
+    one before it; a leading run copies the first defined binormal."""
+    idx = np.flatnonzero(defined)
     if idx.size == 0:
         raise DegeneratePolygonal("no junction defines a binormal")
-    first = idx[0]
-    out[:first] = out[first]
-    for i in range(first + 1, out.shape[0]):
-        if not defined[i]:
-            out[i] = out[i - 1]
-    return out
+    source = np.where(defined, np.arange(defined.size), idx[0])
+    return binormals[np.maximum.accumulate(source)]
 
 
 def tantrix(P):
@@ -536,7 +530,12 @@ def nonmonotonicity_witness(seed=0, budget=2000, min_gap=1e-3):
 
     Coarse seeded sampling over the construction angles, then Gaussian
     perturbation around the running best.  Deterministic given the seed.
+    A budget below 1 or a NaN or negative min_gap raises ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if not min_gap >= 0:
+        raise ValueError(f"min_gap must be a non-negative number, got {min_gap}")
     rng = np.random.default_rng(seed)
 
     best = None

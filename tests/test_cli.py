@@ -320,15 +320,28 @@ class TestWitnessCmd:
         assert strip_timestamp(rep1) == strip_timestamp(rep2)
 
     def test_search_failure_exit_code(self, tmp_path, capsys):
-        code, report = run(
-            [
-                "witness", "--seed", "0", "--budget", "4",
-                "--min-gap", "100", "--out", str(tmp_path / "x"),
-            ],
-            capsys,
-        )
-        assert code == 4
-        assert report["status"].startswith("search-failed")
+        for min_gap in ("100", "inf"):
+            code, report = run(
+                [
+                    "witness", "--seed", "0", "--budget", "4",
+                    "--min-gap", min_gap, "--out", str(tmp_path / "x"),
+                ],
+                capsys,
+            )
+            assert code == 4
+            assert report["status"].startswith("search-failed")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget", "0"), ("--budget", "-3"),
+        ("--min-gap", "nan"), ("--min-gap", "-1e-3"),
+    ])
+    def test_meaningless_input_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "w"
+        code, report = run(["witness", f"{flag}={value}", "--out", str(out)], capsys)
+        assert code == 2
+        assert report["status"] == "error"
+        assert flag[2:].replace("-", "_") in report["error"]
+        assert not out.exists()
 
 
 class TestLiftCmd:

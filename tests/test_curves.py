@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 
 from weakfrenet.curves import (
     N_SUB_MODULUS,
+    TURN_CERTIFIED,
     frenet_ode_curve,
     helix,
     inflection_curve,
@@ -235,15 +238,29 @@ def modulus_reference(c, params):
     return best
 
 
+@functools.cache
+def blowup_curve():
+    return make_curve("blowup", delta=1e-2)
+
+
 @st.composite
 def inscription_cases(draw):
-    """Curves and params whose cells hit both the chord certificate and the
-    all-pairs fallback: few-cell helices (turning too much to certify),
-    zigzags cut across their corners, and nested inflection refinements."""
-    kind = draw(st.sampled_from(["helix", "zigzag", "inflection"]))
+    """Curves and params whose cells hit both the closure certificate and
+    the all-pairs fallback: few-cell helices (turning too much to certify),
+    helix cells turning by between TURN_CERTIFIED and pi/2, zigzags cut
+    across their corners (no closure), Frenet-ODE blowup cells and nested
+    inflection refinements."""
+    kind = draw(st.sampled_from(["helix", "helix-band", "zigzag", "blowup", "inflection"]))
     if kind == "helix":
         c = helix(1.0, draw(st.floats(0.0, 2 * PI)))
         return c, np.linspace(*c.domain, draw(st.integers(1, 3)) + 1)
+    if kind == "helix-band":
+        c = helix(draw(st.floats(1.0, 3.0)), draw(st.floats(-2 * PI, 2 * PI)))
+        a, b = c.domain
+        turn = draw(st.floats(TURN_CERTIFIED, PI / 2, exclude_min=True, exclude_max=True))
+        h = turn * (b - a) / float(c.cum_curvature(b))
+        n = draw(st.integers(1, int((b - a) // h)))
+        return c, a + h * np.arange(n + 1)
     if kind == "zigzag":
         m = draw(st.integers(2, 8))
         amp = draw(st.floats(0.2, 3.0))
@@ -253,6 +270,9 @@ def inscription_cases(draw):
         a, b = c.domain
         cuts = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
         return c, np.unique(np.concatenate([[a, b], a + (b - a) * np.array(cuts)]))
+    if kind == "blowup":
+        c = blowup_curve()
+        return c, np.linspace(*c.domain, draw(st.integers(1, 64)) + 1)
     c = inflection_curve()
     params = list(c.domain)
     for pick in draw(st.lists(st.integers(0, 10**6), max_size=30)):
@@ -280,8 +300,24 @@ class TestInscribe:
         assert ins.modulus <= np.max(np.diff(params)) + 1e-14
         assert ins.modulus >= ins.mesh
 
+    def test_certified_cells_are_not_sampled(self):
+        # every cell of a fine inflection level turns by less than
+        # TURN_CERTIFIED, so only the vertices are evaluated
+        c = inflection_curve()
+        evaluated = []
+        position = c.position
+
+        def counted(s):
+            evaluated.append(np.size(s))
+            return position(s)
+
+        c.position = counted
+        ins = inscribe(c, np.linspace(*c.domain, 8193))
+        assert evaluated == [8193]
+        assert ins.modulus == ins.mesh
+
     @given(inscription_cases())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_modulus_matches_all_pairs_reference(self, case):
         c, params = case
         assert inscribe(c, params).modulus == modulus_reference(c, params)

@@ -6,6 +6,7 @@ from weakfrenet.errors import DegeneratePolygonal, SearchFailed, ZeroTorsion
 from weakfrenet.forces import curvature_force
 from weakfrenet.polygonal import (
     Polygonal3,
+    _fill_undefined_binormals,
     binormal_indicatrix,
     discrete_frenet,
     interleaved_pair,
@@ -115,6 +116,43 @@ class TestDiscreteFrenet:
         interleaved_pair(P)
         curvature_force(P)
         assert len(frenet_calls) == 1 and frenet_calls[0] is P
+
+    @pytest.mark.parametrize("verts, binormals", [
+        # leading run: the straight vertex 1 copies the first defined binormal
+        ([[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 1, 1]],
+         [[0, 0, 1], [0, 0, 1], [1, 0, 0]]),
+        # interior run: straight vertices 2 and 3 copy the one before them
+        ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 2, 0], [1, 3, 0], [1, 3, 1]],
+         [[0, 0, 1], [0, 0, 1], [0, 0, 1], [1, 0, 0]]),
+    ])
+    def test_unsanitized_straight_through_vertices(self, verts, binormals):
+        P = Polygonal3(verts)
+        fr = discrete_frenet(P)
+        assert np.array_equal(fr.binormals, binormals)
+        assert fr.torsion_angles[-1] == pytest.approx(PI / 2)
+        assert fr.tat == pytest.approx(discrete_frenet(sanitize(P)).tat)
+
+    def test_fill_matches_loop_reference(self, rng):
+        def loop_fill(binormals, defined):
+            out = binormals.copy()
+            first = int(np.flatnonzero(defined)[0])
+            out[:first] = out[first]
+            for i in range(first + 1, out.shape[0]):
+                if not defined[i]:
+                    out[i] = out[i - 1]
+            return out
+
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            defined = rng.random(n) < rng.uniform(0.1, 0.9)
+            b = rng.normal(size=(n, 3))
+            if not np.any(defined):
+                with pytest.raises(DegeneratePolygonal):
+                    _fill_undefined_binormals(b, defined)
+                continue
+            assert np.array_equal(
+                _fill_undefined_binormals(b, defined), loop_fill(b, defined)
+            )
 
 
 class TestTantrix:
@@ -343,6 +381,21 @@ class TestWholeFamilyInvariants:
             assert fq.ct == pytest.approx(fr.ct, abs=1e-9)
             assert np.allclose(fq.torsion_angles, -fr.torsion_angles, atol=1e-9)
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_reversal_invariance(self, rng, closed):
+        for _ in range(20):
+            P = random_polygonal(rng, closed=closed)
+            fr = discrete_frenet(P)
+            fq = discrete_frenet(sanitize(Polygonal3(P.vertices[::-1], closed=closed)))
+            assert fq.tc == pytest.approx(fr.tc, abs=1e-9)
+            assert fq.tat == pytest.approx(fr.tat, abs=1e-9)
+            assert fq.ct == pytest.approx(fr.ct, abs=1e-9)
+
+    def test_fenchel_closed(self, rng):
+        for _ in range(40):
+            P = random_polygonal(rng, closed=True)
+            assert discrete_frenet(P).tc >= 2 * PI - 1e-12
+
     def test_scale_invariance(self, rng):
         for _ in range(20):
             P = random_polygonal(rng)
@@ -416,3 +469,12 @@ class TestWitness:
     def test_search_failure(self):
         with pytest.raises(SearchFailed):
             nonmonotonicity_witness(seed=0, budget=4, min_gap=100.0)
+        with pytest.raises(SearchFailed):
+            nonmonotonicity_witness(seed=0, budget=4, min_gap=np.inf)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"budget": 0}, {"budget": -3}, {"min_gap": np.nan}, {"min_gap": -1e-3},
+    ])
+    def test_meaningless_input_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            nonmonotonicity_witness(seed=0, **kwargs)
