@@ -321,6 +321,11 @@ def _parse_vec(text):
     return np.array(parts)
 
 
+def _curvature_force_block(K):
+    star, tc = forces.tc_star(K)
+    return {"atoms": _atom_table(K), "tc_star": _finite(star), "tc": _finite(tc)}
+
+
 def cmd_forces(args):
     report = _base_report("forces", args)
     os.makedirs(args.out, exist_ok=True)
@@ -328,13 +333,7 @@ def cmd_forces(args):
     if args.input:
         P = sanitize(read_polygonal(args.input))
         report["input"] = {"path": args.input}
-        K = forces.curvature_force(P)
-        star, tc = forces.tc_star(K)
-        report["curvature_force"] = {
-            "atoms": _atom_table(K),
-            "tc_star": _finite(star),
-            "tc": _finite(tc),
-        }
+        report["curvature_force"] = _curvature_force_block(forces.curvature_force(P))
         report["status"] = "ok"
         emit_report(report, args.report)
         return EXIT_OK
@@ -345,15 +344,10 @@ def cmd_forces(args):
         raise WeakFrenetError("force tables for curve models need a frame")
     report["input"] = {"model": args.model, "params": params}
     K = forces.curvature_force(curve)
-    star, tc = forces.tc_star(K)
     files["curvature_density"] = write_density_csv(
         os.path.join(args.out, "curvature_density.csv"), K
     )
-    report["curvature_force"] = {
-        "atoms": _atom_table(K),
-        "tc_star": _finite(star),
-        "tc": _finite(tc),
-    }
+    report["curvature_force"] = _curvature_force_block(K)
     seq = weak.refine(curve, levels=args.levels, base_n=args.base_n)
     t_c = weak.weak_tantrix(seq)
     T = forces.torsion_force(curve, t_c)
@@ -375,7 +369,7 @@ def cmd_forces(args):
             "atoms": _atom_table(BV),
             "total_variation": _finite(BV.total_variation),
         }
-    except (ZeroTorsion, WeakFrenetError) as exc:
+    except WeakFrenetError as exc:
         report["binormal_variation"] = str(exc)
     fields = forces.make_tangential_bumps(curve, 5, seed=args.seed)
     pairing = forces.first_variation_check(curve, T, fields, n_quad=args.quad)

@@ -8,6 +8,7 @@ integrating curvature/torsion profiles through the Frenet-Serret system.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,10 @@ def helix(R=1.0, K=2 * np.pi):
     Curvature and torsion are the constants R/v^2 and (K/2pi)/v^2, with
     v = sqrt(R^2 + (K/2pi)^2); their integrals are 2*pi*R/v and K/v.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not (np.isfinite(R) and R > 0):
+        raise ValueError(f"R must be finite and positive, got {R}")
+    if not np.isfinite(K):
+        raise ValueError(f"K must be finite, got {K}")
     w = K / (2 * np.pi)
     v = float(np.hypot(R, w))
     L = 2 * np.pi * v
@@ -96,11 +99,13 @@ def helix(R=1.0, K=2 * np.pi):
     )
 
 
+@functools.cache
 def _quartic_arc_spline():
     """Spline of F(w) = int_{-pi/2}^{w} cos^2 sqrt(1+sin^2); then
     int_{-1}^{s} sqrt(1-l^4) dl = F(arcsin s).  The substituted integrand is
     analytic, so per-cell Gauss-Legendre plus a cubic spline is accurate to
-    ~1e-13 and cheap to evaluate in bulk."""
+    ~1e-13 and cheap to evaluate in bulk.  Built on first use, so that
+    importing the package does not import scipy."""
     from scipy.interpolate import CubicSpline
 
     grid = np.linspace(-np.pi / 2, np.pi / 2, 4097)
@@ -114,9 +119,6 @@ def _quartic_arc_spline():
     return CubicSpline(grid, vals)
 
 
-_QUARTIC_ARC = _quartic_arc_spline()
-
-
 def inflection_curve():
     """Unit-speed curve on [-1, 1] with an order-3 inflection at s = 0.
 
@@ -125,10 +127,11 @@ def inflection_curve():
     -sqrt(2) s/sqrt(1-s^4) are integrable with TC = TAT = pi/sqrt(2).
     """
     r2 = np.sqrt(2.0)
+    quartic_arc = _quartic_arc_spline()
 
     def zpart(s):
         s = np.asarray(s, dtype=float)
-        return _QUARTIC_ARC(np.arcsin(np.clip(s, -1.0, 1.0)))
+        return quartic_arc(np.arcsin(np.clip(s, -1.0, 1.0)))
 
     def position(s):
         s = np.asarray(s, dtype=float)

@@ -10,7 +10,7 @@ tau * b ds, with density (tau/k)(s1(k)) b(s1(k)).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,18 +19,22 @@ from .polygonal import Polygonal3
 from .sphere import unit
 
 CORNER_THRESHOLD = 0.3  # rad; refinement junctions stay far below this
+# share of the domain on which the torsion may vanish before the binormal
+# variation density counts as undefined
+ZERO_TORSION_FRACTION = 0.05
+N_REPARAM = 4096  # cells of the table a cumulative closure is inverted on
 
 
 @dataclass(frozen=True)
 class VectorMeasure:
     """Finite vector measure on an interval: atoms plus sampled density."""
 
-    atoms: tuple  # ((param, weight 3-vector), ...)
-    density_params: np.ndarray
-    density_values: np.ndarray
-    density_steps: np.ndarray
     domain: tuple
     kind: str  # 'arclength' | 'cum_curvature' | 'cum_torsion'
+    atoms: tuple = ()  # ((param, weight 3-vector), ...)
+    density_params: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    density_values: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    density_steps: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def atom_mass(self):
@@ -64,17 +68,6 @@ class VectorMeasure:
         return total
 
 
-def _empty_measure(domain, kind):
-    return VectorMeasure(
-        atoms=(),
-        density_params=np.zeros(0),
-        density_values=np.zeros((0, 3)),
-        density_steps=np.zeros(0),
-        domain=domain,
-        kind=kind,
-    )
-
-
 def _midpoint_grid(a, b, n):
     step = (b - a) / n
     return a + step * (np.arange(n) + 0.5), step
@@ -96,12 +89,9 @@ def curvature_force(obj, n_density=2048, corners=()):
         n_junc = fr.turning_angles.size
         jumps = np.roll(fr.tangents, -1, axis=0)[:n_junc] - fr.tangents[:n_junc]
         return VectorMeasure(
+            (0.0, float(cum[-1])),
+            "arclength",
             atoms=tuple(zip(cum[1 : n_junc + 1].tolist(), jumps)),
-            density_params=np.zeros(0),
-            density_values=np.zeros((0, 3)),
-            density_steps=np.zeros(0),
-            domain=(0.0, float(cum[-1])),
-            kind="arclength",
         )
 
     curve = obj
@@ -118,12 +108,12 @@ def curvature_force(obj, n_density=2048, corners=()):
         t_plus = unit(curve.d1(s + eps))
         atoms.append((float(s - a), t_plus - t_minus))
     return VectorMeasure(
+        (0.0, b - a),
+        "arclength",
         atoms=tuple(atoms),
         density_params=params - a,
         density_values=values,
         density_steps=np.full(n_density, step),
-        domain=(0.0, b - a),
-        kind="arclength",
     )
 
 
@@ -140,38 +130,50 @@ def tc_star(measure):
 
 
 # ---------------------------------------------------------------------------
-# cumulative reparameterizations
+# push-forward through a cumulative reparameterization
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_table(curve, which, n_dense=4096):
-    """Monotone table (s_grid, cumulative integral) for k or |tau|, from the
-    curve's cum_curvature / cum_abs_torsion closure."""
+def _reparam(curve, which):
+    """(total, s_of): the whole-domain total of the curve's cum_curvature
+    ('k') or cum_abs_torsion ('tau') closure, and its inverse x -> s by
+    linear interpolation in a table of N_REPARAM cells."""
     a, b = curve.domain
-    s_grid = np.linspace(a, b, n_dense + 1)
+    s_grid = np.linspace(a, b, N_REPARAM + 1)
     closure = curve.cum_curvature if which == "k" else curve.cum_abs_torsion
-    return s_grid, np.asarray(closure(s_grid), dtype=float)
+    cum = np.asarray(closure(s_grid), dtype=float)
+    return float(cum[-1]), lambda x: np.interp(x, cum, s_grid)
 
 
-def _corner_atoms(polyline, total, threshold):
-    """Atoms t_out - t_in at the corners of `polyline` that turn by more than
-    threshold; trivial arcs are skipped.  Corner parameters are rescaled from
-    the discrete curve's domain [0, C_h] onto the limit domain [0, total]
-    (constant-speed matching)."""
-    c = polyline.corners(min_arc=1e-12)
-    big = c.turn > threshold
-    length = polyline.total_length
-    params = c.params[big] * (total / length if length > 0 else 1.0)
-    return tuple(zip(params.tolist(), c.t_out[big] - c.t_in[big]))
+def _pushforward(curve, reparam, limit, n_density, kind, density):
+    """Measure on [0, total] of the reparameterization x -> s(x).
+
+    Density: density(t, n, b, k, tau) of the frame at s(x) on a midpoint
+    grid.  Atoms: t_out - t_in at each corner of limit.curve that turns by
+    more than CORNER_THRESHOLD (trivial arcs skipped), its parameter
+    rescaled from the discrete curve's domain [0, C_h] onto [0, total]
+    (constant-speed matching).
+    """
+    total, s_of = reparam
+    params, step = _midpoint_grid(0.0, total, n_density)
+    frame = curve.frame(s_of(params))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = density(*frame)
+    c = limit.curve.corners(min_arc=1e-12)
+    big = c.turn > CORNER_THRESHOLD
+    length = limit.total_length
+    at = c.params[big] * (total / length if length > 0 else 1.0)
+    return VectorMeasure(
+        (0.0, total),
+        kind,
+        atoms=tuple(zip(at.tolist(), c.t_out[big] - c.t_in[big])),
+        density_params=params,
+        density_values=values,
+        density_steps=np.full(n_density, step),
+    )
 
 
-def torsion_force(
-    curve,
-    t_c,
-    n_density=4096,
-    corner_threshold=CORNER_THRESHOLD,
-    level_turnings=None,
-):
+def torsion_force(curve, t_c, n_density=4096, level_turnings=None):
     """Torsion force on [0, TC]: tangential part of the derivative of the
     weak tantrix velocity.
 
@@ -187,68 +189,40 @@ def torsion_force(
                 "the torsion force may not be a finite measure",
                 UnboundedVariationWarning,
             )
-    s_grid, cum = _cumulative_table(curve, "k")
-    total = float(cum[-1])
-    params, step = _midpoint_grid(0.0, total, n_density)
-    s1 = np.interp(params, cum, s_grid)
-    _, _, bvec, k, tau = curve.frame(s1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(k) > 1e-300, tau / k, 0.0)
-    values = ratio[:, None] * bvec
 
-    poly = t_c.curve if hasattr(t_c, "curve") else t_c
-    return VectorMeasure(
-        atoms=_corner_atoms(poly, total, corner_threshold),
-        density_params=params,
-        density_values=values,
-        density_steps=np.full(n_density, step),
-        domain=(0.0, total),
-        kind="cum_curvature",
+    def density(t, n, b, k, tau):
+        ratio = np.where(np.abs(k) > 1e-300, tau / k, 0.0)
+        return ratio[:, None] * b
+
+    return _pushforward(
+        curve, _reparam(curve, "k"), t_c, n_density, "cum_curvature", density
     )
 
 
-def binormal_variation(
-    curve,
-    b_c,
-    n_density=4096,
-    corner_threshold=CORNER_THRESHOLD,
-    zero_fraction=0.05,
-):
+def binormal_variation(curve, b_c, n_density=4096):
     """Tangential variation measure of the weak binormal, on [0, TAT].
 
     Density sgn(tau) (k/|tau|)(s2(t)) n(s2(t)) in the lifted chart, with
-    total mass int k ds; atoms at corners of b_c.  Torsion vanishing on a
-    set of positive measure leaves the density undefined there.
+    total mass int k ds; atoms at corners of b_c.  Torsion vanishing on
+    more than ZERO_TORSION_FRACTION of the domain leaves the density
+    undefined there and raises ZeroTorsionDensity.
     """
-    s_grid, cum = _cumulative_table(curve, "tau")
-    total = float(cum[-1])
+    total, s_of = _reparam(curve, "tau")
     if total < 1e-12:
         # planar input: the binormal never moves, the measure lives nowhere
-        return _empty_measure((0.0, 0.0), "cum_torsion")
-    a, b = curve.domain
-    probe = np.linspace(a, b, 4097)
-    _, _, _, _, tau_probe = curve.frame(probe)
+        return VectorMeasure((0.0, 0.0), "cum_torsion")
+    _, _, _, _, tau_probe = curve.frame(np.linspace(*curve.domain, N_REPARAM + 1))
     frac = float(np.mean(np.abs(tau_probe) < 1e-12))
-    if frac > zero_fraction:
+    if frac > ZERO_TORSION_FRACTION:
         raise ZeroTorsionDensity(
             f"torsion vanishes on about {frac:.0%} of the domain"
         )
-    params, step = _midpoint_grid(0.0, total, n_density)
-    s2 = np.interp(params, cum, s_grid)
-    _, nvec, _, k, tau = curve.frame(s2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(tau) > 1e-12, np.sign(tau) * k / np.abs(tau), 0.0)
-    values = ratio[:, None] * nvec
 
-    poly = b_c.curve if hasattr(b_c, "curve") else b_c
-    return VectorMeasure(
-        atoms=_corner_atoms(poly, total, corner_threshold),
-        density_params=params,
-        density_values=values,
-        density_steps=np.full(n_density, step),
-        domain=(0.0, total),
-        kind="cum_torsion",
-    )
+    def density(t, n, b, k, tau):
+        ratio = np.where(np.abs(tau) > 1e-12, np.sign(tau) * k / np.abs(tau), 0.0)
+        return ratio[:, None] * n
+
+    return _pushforward(curve, (total, s_of), b_c, n_density, "cum_torsion", density)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +275,8 @@ def first_variation_check(curve, measure, fields, n_quad=4096):
         t, _, _, _, _ = curve.frame(grid + ca)
         speed = t
     elif measure.kind == "cum_curvature":
-        s_grid, cum = _cumulative_table(curve, "k")
-        s1 = np.interp(grid, cum, s_grid)
-        _, nvec, _, _, _ = curve.frame(s1)
+        _, s_of = _reparam(curve, "k")
+        _, nvec, _, _, _ = curve.frame(s_of(grid))
         speed = nvec
     else:
         raise ValueError(f"no pairing rule for measures of kind {measure.kind!r}")
@@ -331,8 +304,7 @@ def make_tangential_bumps(curve, count, seed=0, profile="sin2"):
     trapezoid pairing superconvergent; 'sin' gives sin(pi k/C) with the
     classical O(n^-2) quadrature error, useful for observing the rate.
     """
-    s_grid, cum = _cumulative_table(curve, "k")
-    C = float(cum[-1])
+    C, s_of = _reparam(curve, "k")
     rng = np.random.default_rng(seed)
     if profile == "sin2":
         phi_fn = lambda a: np.sin(np.pi * a / C) ** 2
@@ -349,16 +321,14 @@ def make_tangential_bumps(curve, count, seed=0, profile="sin2"):
         def value(kk, w=w):
             scalar = np.ndim(kk) == 0
             arr = np.atleast_1d(np.asarray(kk, dtype=float))
-            s1 = np.interp(arr, cum, s_grid)
-            t, _, _, _, _ = curve.frame(s1)
+            t, _, _, _, _ = curve.frame(s_of(arr))
             out = phi_fn(arr)[:, None] * (w - np.sum(w * t, axis=1)[:, None] * t)
             return out[0] if scalar else out
 
         def derivative(kk, w=w):
             scalar = np.ndim(kk) == 0
             arr = np.atleast_1d(np.asarray(kk, dtype=float))
-            s1 = np.interp(arr, cum, s_grid)
-            t, n, _, _, _ = curve.frame(s1)
+            t, n, _, _, _ = curve.frame(s_of(arr))
             wt = np.sum(w * t, axis=1)[:, None]
             wn = np.sum(w * n, axis=1)[:, None]
             # dt/dk along the tantrix is the principal normal
@@ -382,11 +352,10 @@ def darboux_curvatures(t_c, k_values, h):
 
     For the tantrix of a smooth curve these equal tau/k and -1.
     """
-    poly = t_c.curve if hasattr(t_c, "curve") else t_c
     k_values = np.asarray(k_values, dtype=float)
-    p0 = poly.eval(k_values)
-    pp = poly.eval(k_values + h)
-    pm = poly.eval(k_values - h)
+    p0 = t_c.eval(k_values)
+    pp = t_c.eval(k_values + h)
+    pm = t_c.eval(k_values - h)
     second = (pp - 2.0 * p0 + pm) / h**2
     nrm = p0
     tvec = (pp - pm) / (2.0 * h)

@@ -90,6 +90,18 @@ class ProjPoint:
         return hash(self.rep.tobytes())
 
 
+def _geodesic_point(a, b, theta, lam):
+    """Point at fraction lam of the geodesic arc a -> b of length theta; an
+    arc whose sin(theta) is at most EPS_ANTIPODAL (trivial, or antipodal
+    with no unique geodesic) gives a."""
+    sin_t = np.sin(theta)
+    trivial = sin_t <= EPS_ANTIPODAL
+    safe = np.where(trivial, 1.0, sin_t)[..., None]
+    out = (np.sin((1.0 - lam) * theta)[..., None] * a
+           + np.sin(lam * theta)[..., None] * b) / safe
+    return np.where(trivial[..., None], a, out)
+
+
 def slerp(a, b, lam):
     """Constant-speed point(s) on the minimal geodesic arc from a to b.
 
@@ -102,12 +114,7 @@ def slerp(a, b, lam):
     theta = sphere_distance(a, b)
     if np.any(theta > np.pi - EPS_ANTIPODAL):
         raise AntipodalPair("slerp between (nearly) antipodal points")
-    lam = np.asarray(lam, dtype=float)
-    short = theta < EPS_ANTIPODAL
-    sin_t = np.where(short, 1.0, np.sin(theta))[..., None]
-    out = (np.sin((1.0 - lam) * theta)[..., None] * a
-           + np.sin(lam * theta)[..., None] * b) / sin_t
-    return np.where(short[..., None], a, out)
+    return _geodesic_point(a, b, theta, np.asarray(lam, dtype=float))
 
 
 def arc_tangent(a, b, at_end=False):
@@ -153,15 +160,7 @@ def _eval_piecewise(points, params, s):
     b = points[idx + 1]
     width = params[idx + 1] - params[idx]
     lam = np.where(width > 0, (s - params[idx]) / np.where(width > 0, width, 1.0), 0.0)
-    cross = np.cross(a, b)
-    theta = np.arctan2(np.linalg.norm(cross, axis=-1), np.sum(a * b, axis=-1))
-    sin_t = np.sin(theta)
-    safe = np.where(sin_t > EPS_ANTIPODAL, sin_t, 1.0)
-    out = (np.sin((1.0 - lam) * theta)[..., None] * a
-           + np.sin(lam * theta)[..., None] * b) / safe[..., None]
-    trivial = sin_t <= EPS_ANTIPODAL
-    if np.any(trivial):
-        out[trivial] = a[trivial]
+    out = _geodesic_point(a, b, sphere_distance(a, b), lam)
     return out[0] if scalar else out
 
 

@@ -148,9 +148,12 @@ class WeakIndicatrix:
     """
 
     curve: GeodesicPolyline
-    total_length: float
     cauchy_gap: float
     warning: str = ""
+
+    @property
+    def total_length(self):
+        return self.curve.total_length
 
     @property
     def space(self):
@@ -166,13 +169,8 @@ class WeakIndicatrix:
         return self.curve.eval(s * (self.curve.total_length / total))
 
 
-def _limit(prev, final, total_length, warning=""):
-    return WeakIndicatrix(
-        curve=final,
-        total_length=total_length,
-        cauchy_gap=sup_distance(prev, final),
-        warning=warning,
-    )
+def _limit(prev, final, warning=""):
+    return WeakIndicatrix(final, sup_distance(prev, final), warning)
 
 
 def weak_binormal(seq):
@@ -187,7 +185,7 @@ def weak_binormal(seq):
         raise ZeroTorsion("final level has (numerically) zero total torsion")
     if curves[0] is None:
         raise NotConverged("previous level is planar; refine further")
-    return _limit(*curves, seq.final.tat)
+    return _limit(*curves)
 
 
 def _tantrix_with_policy(P, return_dir):
@@ -236,7 +234,7 @@ def weak_tantrix(seq, return_dir=None):
             curves.append(tantrix(lv.polygonal))
     if curves[-1].total_length < 1e-12:
         raise DegeneratePolygonal("final level has zero total curvature")
-    return _limit(*curves, curves[1].total_length)
+    return _limit(*curves)
 
 
 def weak_normal(seq):
@@ -256,7 +254,7 @@ def weak_normal(seq):
         if gaps[-1] > 1e-9 and gaps[-1] >= gaps[-2] >= 1e-9:
             warning = "complete torsion not settling; weak normal unreliable"
             warnings.warn(warning, UnboundedVariationWarning)
-    return _limit(*curves, curves[1].total_length, warning)
+    return _limit(*curves, warning)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +39,19 @@ def square_json(tmp_path):
         )
     )
     return str(path)
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is imported on first use of the inflection model only
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = ("import sys, weakfrenet.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.path.normpath(src)),
+        )
+        assert proc.stdout == "[]\n"
 
 
 class TestReportSanitization:
@@ -226,6 +242,19 @@ class TestConverge:
         assert code == 2
         assert report["status"] == "error"
         assert flag in report["error"]
+
+    @pytest.mark.parametrize("model, params", [
+        ("helix", "R=nan"), ("helix", "K=nan"), ("helix", "R=inf"), ("helix", "K=inf"),
+        ("circle", "R=nan"),
+    ])
+    def test_nonfinite_helix_parameter_rejected(self, tmp_path, capsys, model, params):
+        code, report = run(
+            ["converge", "--model", model, "--params", params, "--levels", "2",
+             "--base-n", "8", "--out", str(tmp_path / "f")],
+            capsys,
+        )
+        assert code == 2
+        assert report["error"].startswith(params.split("=")[0] + " must")
 
     def test_each_limit_built_once(self, tmp_path, capsys, monkeypatch):
         from weakfrenet import weak

@@ -58,6 +58,14 @@ class TestHelix:
         with pytest.raises(ValueError):
             helix(0.0, 1.0)
 
+    @pytest.mark.parametrize("R, K, name", [
+        (np.nan, 1.0, "R"), (np.inf, 1.0, "R"), (1.0, np.nan, "K"),
+        (1.0, np.inf, "K"), (1.0, -np.inf, "K"),
+    ])
+    def test_rejects_nonfinite_parameters(self, R, K, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            helix(R, K)
+
 
 class TestInflectionCurve:
     def test_totals_by_quadrature(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_polygonal
+from weakfrenet.curves import make_curve
 from weakfrenet.errors import DegeneratePolygonal, SearchFailed, ZeroTorsion
 from weakfrenet.forces import curvature_force
 from weakfrenet.polygonal import (
@@ -25,6 +26,7 @@ from weakfrenet.sphere import (
     slerp,
     sphere_distance,
 )
+from weakfrenet.weak import refine
 
 PI = np.pi
 
@@ -395,6 +397,29 @@ class TestWholeFamilyInvariants:
         for _ in range(40):
             P = random_polygonal(rng, closed=True)
             assert discrete_frenet(P).tc >= 2 * PI - 1e-12
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_milnor_inscribed_subset(self, rng, closed):
+        # Milnor (1950): an inscribed polygonal turns no more than P
+        for _ in range(100):
+            P = random_polygonal(rng, closed=closed)
+            keep = rng.random(P.n_vertices) < 0.6
+            if not closed:
+                keep[[0, -1]] = True  # an open inscription keeps both endpoints
+            try:
+                Q = sanitize(Polygonal3(P.vertices[keep], closed=closed))
+            except DegeneratePolygonal:
+                continue
+            if Q.return_points:
+                continue
+            assert discrete_frenet(Q).tc <= discrete_frenet(P).tc + 1e-12
+
+    @pytest.mark.parametrize("model", ["helix", "inflection", "blowup"])
+    def test_milnor_nested_refinement(self, model):
+        # uniform levels of refine are nested, so TC never decreases
+        seq = refine(make_curve(model), levels=7, base_n=64)
+        tc = np.array([lv.tc for lv in seq.levels])
+        assert np.all(np.diff(tc) >= -1e-12), np.diff(tc)
 
     def test_scale_invariance(self, rng):
         for _ in range(20):
