@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_SEARCH_FAILED = 4
+
+N_UNIFORM = 512  # uniform samples of an indicatrix CSV, besides its breakpoints
 
 
 # ---------------------------------------------------------------------------
@@ -92,83 +95,70 @@ def read_polygonal(path):
     return Polygonal3(arr, closed=closed)
 
 
-def _write_rows(fh, columns, sep=","):
-    """One line per row of the equal-length `columns`, each value written
-    as the repr of its Python scalar (floats round-trip, ints stay ints)."""
+def _write_csv(path, header, columns, sep=","):
+    """Write `header`, then one line per row of the equal-length `columns`,
+    each value the repr of its Python scalar (floats round-trip, ints stay
+    ints).  Returns path."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    fh.writelines(sep.join(map(repr, row)) + "\n" for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(sep.join(map(repr, row)) + "\n" for row in rows)
+    return path
 
 
 def write_polygonal(path, P):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x y z\n")
-        _write_rows(fh, P.vertices.T, sep=" ")
+    return _write_csv(path, "# x y z", P.vertices.T, sep=" ")
 
 
-def _sample_params(curve, n_uniform=512):
-    total = curve.total_length
-    s = np.linspace(0.0, total, n_uniform)
+def write_indicatrix_csv(path, curve):
+    """CSV polyline: s,x,y,z (canonical representative) at N_UNIFORM uniform
+    parameters and every breakpoint; projective curves get an extra "sheet"
+    column (+-1, lift relative to the canonical rep)."""
+    s = np.linspace(0.0, curve.total_length, N_UNIFORM)
     s = np.unique(np.concatenate([s, curve.cum_length]))
-    return s
-
-
-def write_indicatrix_csv(path, curve, n_uniform=512):
-    """CSV polyline: s,x,y,z (canonical representative); projective curves
-    get an extra "sheet" column (+-1, lift relative to the canonical rep)."""
-    s = _sample_params(curve, n_uniform)
     pts = curve.eval(s)
-    projective = curve.space == "projective"
-    with open(path, "w", encoding="utf-8") as fh:
-        if projective:
-            fh.write("s,x,y,z,sheet\n")
-            canon = canon_rep(pts)
-            sheet = np.where(np.sum(pts * canon, axis=1) >= 0, 1, -1)
-            _write_rows(fh, [s, *canon.T, sheet])
-        else:
-            fh.write("s,x,y,z\n")
-            _write_rows(fh, [s, *pts.T])
-    return path
+    if curve.space != "projective":
+        return _write_csv(path, "s,x,y,z", [s, *pts.T])
+    canon = canon_rep(pts)
+    sheet = np.where(np.sum(pts * canon, axis=1) >= 0, 1, -1)
+    return _write_csv(path, "s,x,y,z,sheet", [s, *canon.T, sheet])
 
 
 def write_density_csv(path, measure):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("param,vx,vy,vz,step\n")
-        _write_rows(
-            fh,
-            [measure.density_params, *measure.density_values.T, measure.density_steps],
-        )
-    return path
-
-
-def _finite(x):
-    """JSON-safe number: non-finite values are reported as 'diverging'."""
-    x = float(x)
-    return x if np.isfinite(x) else "diverging"
+    return _write_csv(
+        path, "param,vx,vy,vz,step",
+        [measure.density_params, *measure.density_values.T, measure.density_steps],
+    )
 
 
 def _atom_table(measure):
-    return [
-        {"param": _finite(p), "weight": [float(w[0]), float(w[1]), float(w[2])],
-         "norm": _finite(np.linalg.norm(w))}
-        for p, w in measure.atoms
-    ]
+    return [{"param": p, "weight": w.tolist(), "norm": float(np.linalg.norm(w))}
+            for p, w in measure.atoms]
 
 
-def emit_report(report, path=None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _mark_diverging(node):
+    """Replace, in place, every non-finite float in the dicts and lists under
+    `node` by "diverging"."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                node[key] = "diverging"
+        elif isinstance(value, (dict, list)):
+            _mark_diverging(value)
+
+
+def _publish(text, path):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
 
 
-def _base_report(command, args):
-    return {
-        "schema": 1,
-        "command": command,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": getattr(args, "seed", None),
-    }
+def emit_report(report, path=None):
+    """Print the report as indented JSON, and write it to `path` when given.
+    Non-finite values are written as "diverging"."""
+    _mark_diverging(report)
+    _publish(json.dumps(report, indent=2, sort_keys=True), path)
 
 
 # ---------------------------------------------------------------------------
@@ -176,47 +166,40 @@ def _base_report(command, args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args):
+def cmd_analyze(args, report):
     P = sanitize(read_polygonal(args.input))
-    report = _base_report("analyze", args)
     report["input"] = {
         "path": args.input,
         "vertices": int(P.n_vertices),
         "closed": P.closed,
         "return_points": list(P.return_points),
-        "length": _finite(P.length),
-        "mesh": _finite(P.mesh),
+        "length": P.length,
+        "mesh": P.mesh,
     }
     if P.return_points:
         report["status"] = "return-points"
-        emit_report(report, args.report)
         return EXIT_OK
     fr = P.frenet
-    report["tc"] = _finite(fr.tc)
-    report["tat"] = _finite(fr.tat)
-    report["ct"] = _finite(fr.ct)
+    report.update(tc=fr.tc, tat=fr.tat, ct=fr.ct)
     meas = polygonal_measures(P)
     report["measures"] = {
         "curvature_atoms": [
-            {"vertex": i, "angle": _finite(a)}
+            {"vertex": i, "angle": a}
             for i, a in zip(meas.atom_vertices.tolist(), meas.atom_angles.tolist())
         ],
         "torsion_density": [
-            {"segment": i, "density": _finite(d), "length": _finite(l)}
+            {"segment": i, "density": d, "length": l}
             for i, d, l in zip(meas.density_segments.tolist(), meas.densities.tolist(),
                                meas.density_lengths.tolist())
         ],
-        "curvature_mass": _finite(meas.curvature_mass),
-        "torsion_mass": _finite(meas.torsion_mass),
+        "curvature_mass": meas.curvature_mass,
+        "torsion_mass": meas.torsion_mass,
     }
     sched = normal_schedule(P)
-    report["schedule"] = {"C": [_finite(x) for x in sched.C],
-                          "T": [_finite(x) for x in sched.T]}
+    report["schedule"] = {"C": sched.C.tolist(), "T": sched.T.tolist()}
     os.makedirs(args.out, exist_ok=True)
-    files = {}
-    files["tantrix"] = write_indicatrix_csv(
-        os.path.join(args.out, "tantrix.csv"), tantrix(P)
-    )
+    files = report["files"] = {}
+    files["tantrix"] = write_indicatrix_csv(os.path.join(args.out, "tantrix.csv"), tantrix(P))
     try:
         files["binormal"] = write_indicatrix_csv(
             os.path.join(args.out, "binormal.csv"), binormal_indicatrix(P)
@@ -226,9 +209,6 @@ def cmd_analyze(args):
     files["normal"] = write_indicatrix_csv(
         os.path.join(args.out, "normal.csv"), normal_indicatrix(P)
     )
-    report["files"] = files
-    report["status"] = "ok"
-    emit_report(report, args.report)
     return EXIT_OK
 
 
@@ -245,7 +225,7 @@ def _parse_params(items):
     return out
 
 
-def cmd_converge(args):
+def cmd_converge(args, report):
     for flag, tol in (("--tol-converge", args.tol_converge),
                       ("--tol-identity", args.tol_identity)):
         if not tol >= 0:
@@ -255,27 +235,21 @@ def cmd_converge(args):
     seq = weak.refine(curve, levels=args.levels, base_n=args.base_n)
     table = seq.table()
     meshes = [row["mesh"] for row in table]
-    report = _base_report("converge", args)
     report["input"] = {"model": args.model, "params": params,
                        "levels": args.levels, "base_n": args.base_n}
-    report["levels"] = [
-        {k: _finite(v) if isinstance(v, float) else v for k, v in row.items()}
-        for row in table
-    ]
-    report["tc"] = _finite(weak.estimate_limit([r["tc"] for r in table], meshes))
-    report["tat"] = _finite(weak.estimate_limit([r["tat"] for r in table], meshes))
-    report["ct"] = _finite(weak.estimate_limit([r["ct"] for r in table], meshes))
+    report["levels"] = table
+    for key in ("tc", "tat", "ct"):
+        report[key] = weak.estimate_limit([row[key] for row in table], meshes)
 
     os.makedirs(args.out, exist_ok=True)
-    statuses = {}
-    files = {}
-    return_dir = _parse_vec(args.return_dir) if args.return_dir else None
+    statuses = report["weak_status"] = {}
+    files = report["files"] = {}
 
-    def attempt(name, builder, filename):
+    def attempt(name, builder):
         """Build one limit and judge its Cauchy gap.  A limit over the
         tolerance is still returned, for the identities."""
         try:
-            obj = builder()
+            obj = builder(seq)
         except ZeroTorsion:
             statuses[name] = "zero-torsion"
             return None
@@ -290,28 +264,25 @@ def cmd_converge(args):
                               f"exceeds tol {args.tol_converge:.1e}")
             return obj
         statuses[name] = "ok"
-        files[name] = write_indicatrix_csv(os.path.join(args.out, filename), obj.curve)
-        report[f"{name}_gap"] = _finite(obj.cauchy_gap)
+        files[name] = write_indicatrix_csv(os.path.join(args.out, f"{name}.csv"), obj.curve)
+        report[f"{name}_gap"] = obj.cauchy_gap
         if obj.warning:
             statuses[name] = f"warning: {obj.warning}"
         return obj
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        t_c = attempt("weak_tantrix", lambda: weak.weak_tantrix(seq, return_dir=return_dir),
-                      "weak_tantrix.csv")
-        b_c = attempt("weak_binormal", lambda: weak.weak_binormal(seq), "weak_binormal.csv")
-        n_c = attempt("weak_normal", lambda: weak.weak_normal(seq), "weak_normal.csv")
+        t_c = attempt("weak_tantrix", weak.weak_tantrix)
+        b_c = attempt("weak_binormal", weak.weak_binormal)
+        n_c = attempt("weak_normal", weak.weak_normal)
 
     if curve.has_frame:
         ident = weak.verify_reparam_identities(curve, t_c, b_c, n_c, tol=args.tol_identity)
         report["identities"] = ident.as_dict()
-    report["weak_status"] = statuses
-    report["files"] = files
-    failed = any(s.startswith("not-converged") for s in statuses.values())
-    report["status"] = "not-converged" if failed else "ok"
-    emit_report(report, args.report)
-    return EXIT_NOT_CONVERGED if failed else EXIT_OK
+    if any(s.startswith("not-converged") for s in statuses.values()):
+        report["status"] = "not-converged"
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def _parse_vec(text):
@@ -323,19 +294,15 @@ def _parse_vec(text):
 
 def _curvature_force_block(K):
     star, tc = forces.tc_star(K)
-    return {"atoms": _atom_table(K), "tc_star": _finite(star), "tc": _finite(tc)}
+    return {"atoms": _atom_table(K), "tc_star": star, "tc": tc}
 
 
-def cmd_forces(args):
-    report = _base_report("forces", args)
+def cmd_forces(args, report):
     os.makedirs(args.out, exist_ok=True)
-    files = {}
     if args.input:
         P = sanitize(read_polygonal(args.input))
         report["input"] = {"path": args.input}
         report["curvature_force"] = _curvature_force_block(forces.curvature_force(P))
-        report["status"] = "ok"
-        emit_report(report, args.report)
         return EXIT_OK
 
     params = _parse_params(args.params)
@@ -343,6 +310,7 @@ def cmd_forces(args):
     if not curve.has_frame:
         raise WeakFrenetError("force tables for curve models need a frame")
     report["input"] = {"model": args.model, "params": params}
+    files = report["files"] = {}
     K = forces.curvature_force(curve)
     files["curvature_density"] = write_density_csv(
         os.path.join(args.out, "curvature_density.csv"), K
@@ -356,8 +324,8 @@ def cmd_forces(args):
     )
     report["torsion_force"] = {
         "atoms": _atom_table(T),
-        "total_variation": _finite(T.total_variation),
-        "density_mass": _finite(T.density_mass),
+        "total_variation": T.total_variation,
+        "density_mass": T.density_mass,
     }
     try:
         b_c = weak.weak_binormal(seq)
@@ -367,45 +335,36 @@ def cmd_forces(args):
         )
         report["binormal_variation"] = {
             "atoms": _atom_table(BV),
-            "total_variation": _finite(BV.total_variation),
+            "total_variation": BV.total_variation,
         }
     except WeakFrenetError as exc:
         report["binormal_variation"] = str(exc)
     fields = forces.make_tangential_bumps(curve, 5, seed=args.seed)
     pairing = forces.first_variation_check(curve, T, fields, n_quad=args.quad)
     report["pairing"] = {
-        "max_mismatch": _finite(pairing.max_mismatch),
-        "mismatch": [_finite(x) for x in pairing.mismatch],
+        "max_mismatch": pairing.max_mismatch,
+        "mismatch": list(pairing.mismatch),
     }
-    report["files"] = files
-    report["status"] = "ok"
-    emit_report(report, args.report)
     return EXIT_OK
 
 
-def cmd_witness(args):
-    report = _base_report("witness", args)
+def cmd_witness(args, report):
     try:
         w = nonmonotonicity_witness(
             seed=args.seed, budget=args.budget, min_gap=args.min_gap
         )
     except SearchFailed as exc:
         report["status"] = f"search-failed: {exc}"
-        emit_report(report, args.report)
         return EXIT_SEARCH_FAILED
     os.makedirs(args.out, exist_ok=True)
-    p_path = os.path.join(args.out, "witness_P.txt")
-    pp_path = os.path.join(args.out, "witness_P_inscribed.txt")
-    write_polygonal(p_path, w.polygonal)
-    write_polygonal(pp_path, w.inscribed)
-    report["tat"] = _finite(w.tat)
-    report["tat_inscribed"] = _finite(w.tat_inscribed)
-    report["gap"] = _finite(w.gap)
-    report["length"] = _finite(w.polygonal.length)
-    report["length_inscribed"] = _finite(w.inscribed.length)
-    report["files"] = {"P": p_path, "P_inscribed": pp_path}
-    report["status"] = "ok"
-    emit_report(report, args.report)
+    report["files"] = {
+        "P": write_polygonal(os.path.join(args.out, "witness_P.txt"), w.polygonal),
+        "P_inscribed": write_polygonal(
+            os.path.join(args.out, "witness_P_inscribed.txt"), w.inscribed
+        ),
+    }
+    report.update(tat=w.tat, tat_inscribed=w.tat_inscribed, gap=w.gap,
+                  length=w.polygonal.length, length_inscribed=w.inscribed.length)
     return EXIT_OK
 
 
@@ -437,7 +396,7 @@ def read_points_csv(path):
     return np.asarray(rows, dtype=float)
 
 
-def cmd_lift(args):
+def cmd_lift(args, report):
     from .sphere import GeodesicPolyline, lift_projective_polyline, unit
 
     pts = unit(read_points_csv(args.input))
@@ -445,17 +404,12 @@ def cmd_lift(args):
     seed = _parse_vec(args.seed_dir) if args.seed_dir else curve.points[0]
     lifted, closure = lift_projective_polyline(curve, unit(seed))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "lifted.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("s,x,y,z\n")
-        _write_rows(fh, [lifted.cum_length, *lifted.points.T])
-    report = _base_report("lift", args)
+    path = _write_csv(os.path.join(args.out, "lifted.csv"), "s,x,y,z",
+                      [lifted.cum_length, *lifted.points.T])
     report["input"] = {"path": args.input, "points": int(pts.shape[0])}
     report["closure_sign"] = closure
-    report["length"] = _finite(lifted.total_length)
+    report["length"] = lifted.total_length
     report["files"] = {"lifted": path}
-    report["status"] = "ok"
-    emit_report(report, args.report)
     return EXIT_OK
 
 
@@ -488,7 +442,6 @@ def build_parser():
     p.add_argument("--base-n", type=int, default=64)
     p.add_argument("--tol-converge", type=float, default=1e-3)
     p.add_argument("--tol-identity", type=float, default=1e-2)
-    p.add_argument("--return-dir", default=None, help="x,y,z geodesic choice at return points")
     common(p)
     p.set_defaults(func=cmd_converge)
 
@@ -517,21 +470,23 @@ def build_parser():
 
 
 def main(argv=None):
+    """Parse argv, let the subcommand fill in the report, and emit it.  A
+    package or validation error replaces the report by a compact error
+    record, printed and written to --report alike."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "forces" and not (args.input or args.model):
         parser.error("forces needs --input or --model")
+    report = {"schema": 1, "command": args.command, "seed": args.seed,
+              "timestamp": datetime.now(timezone.utc).isoformat(), "status": "ok"}
     try:
-        return args.func(args)
-    except NotConverged as exc:
-        print(json.dumps({"schema": 1, "status": "not-converged", "error": str(exc)}))
-        return EXIT_NOT_CONVERGED
-    except SearchFailed as exc:
-        print(json.dumps({"schema": 1, "status": "search-failed", "error": str(exc)}))
-        return EXIT_SEARCH_FAILED
+        code = args.func(args, report)
     except (WeakFrenetError, ValueError) as exc:
-        print(json.dumps({"schema": 1, "status": "error", "error": str(exc)}))
+        error = {"schema": 1, "status": "error", "error": str(exc)}
+        _publish(json.dumps(error), args.report)
         return EXIT_PARSE
+    emit_report(report, args.report)
+    return code
 
 
 if __name__ == "__main__":

@@ -200,16 +200,11 @@ def polyline_curve(P):
 # Frenet-Serret integration
 # ---------------------------------------------------------------------------
 
+ENDPOINT_TOL = 1e-8  # endpoint shift that ends step halving when step=None
+MAX_HALVINGS = 10
 
-def frenet_ode_curve(
-    k_profile,
-    tau_profile,
-    domain,
-    step=None,
-    start=None,
-    endpoint_tol=1e-8,
-    max_halvings=10,
-):
+
+def frenet_ode_curve(k_profile, tau_profile, domain, step=None, start=None):
     """Generate a unit-speed curve by integrating dc = t together with the
     Frenet-Serret system for the frame (t, n, b).
 
@@ -222,8 +217,8 @@ def frenet_ode_curve(
     Gauss-point values of the profiles.
 
     A given step must be finite and positive.  With step=None the step is
-    halved (from 256 steps) until the endpoint moves by less than
-    endpoint_tol under one further halving.  Profiles are
+    halved (from 256 steps, at most MAX_HALVINGS times) until the endpoint
+    moves by less than ENDPOINT_TOL under one further halving.  Profiles are
     scalar callables and must be finite at every node and Gauss point;
     otherwise BlowUp is raised (truncate the domain below the singularity).
     """
@@ -242,12 +237,12 @@ def frenet_ode_curve(
 
     n_steps = 256
     prev = _integrate_frenet(k_profile, tau_profile, a, b, (b - a) / n_steps, start)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         n_steps *= 2
         cur = _integrate_frenet(k_profile, tau_profile, a, b, (b - a) / n_steps, start)
         shift = float(np.linalg.norm(cur.position(b) - prev.position(b)))
         prev = cur
-        if shift < endpoint_tol:
+        if shift < ENDPOINT_TOL:
             return cur
     raise BlowUp("endpoint did not stabilize; profile may be too singular")
 

@@ -24,6 +24,7 @@ from .sphere import (
 )
 
 EPS_ALIGN = 1e-12
+BREAKPOINT_ATOL = 1e-9  # parameter match, and shortest live arc, of turning_angle_at
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class Polygonal3:
         return discrete_frenet(self)
 
 
-def _junction_flags(verts, closed, eps_align):
+def _junction_flags(verts, closed):
     """Per interior vertex: 0 bend, 1 aligned same-direction, -1 reversal.
     For closed input the flag at index i refers to vertex i (all vertices
     are interior); for open input to vertex i+1."""
@@ -98,13 +99,13 @@ def _junction_flags(verts, closed, eps_align):
     norms = np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
     dots = np.sum(u * w, axis=1)
     flags = np.zeros(u.shape[0], dtype=int)
-    aligned = cr <= eps_align * norms
+    aligned = cr <= EPS_ALIGN * norms
     flags[aligned & (dots > 0)] = 1
     flags[aligned & (dots <= 0)] = -1
     return flags
 
 
-def sanitize(P, eps_align=EPS_ALIGN):
+def sanitize(P):
     """Drop zero-length segments, merge runs of aligned same-direction
     segments, and flag exact reversals as points of return."""
     verts = np.atleast_2d(np.asarray(P.vertices, dtype=float))
@@ -127,7 +128,7 @@ def sanitize(P, eps_align=EPS_ALIGN):
             raise DegeneratePolygonal(
                 "fewer than %d vertices survive sanitation" % min_verts
             )
-        flags = _junction_flags(verts, closed, eps_align)
+        flags = _junction_flags(verts, closed)
         merge = flags == 1
         if not np.any(merge):
             break
@@ -181,7 +182,7 @@ class DiscreteFrenetData:
         return float(np.sum(self.binormal_gaps))
 
 
-def discrete_frenet(P, eps_align=EPS_ALIGN):
+def discrete_frenet(P):
     """Discrete Frenet data of a sanitized polygonal with no return points."""
     if P.return_points:
         raise DegeneratePolygonal(
@@ -205,7 +206,7 @@ def discrete_frenet(P, eps_align=EPS_ALIGN):
 
     n_junc = cross.shape[0]
     binormals = np.zeros((n_junc, 3))
-    defined = cross_norm > eps_align
+    defined = cross_norm > EPS_ALIGN
     reversal = (~defined) & (dots < 0)
     if np.any(reversal):
         raise DegeneratePolygonal("exact reversal junction; sanitize first")
@@ -236,7 +237,7 @@ def discrete_frenet(P, eps_align=EPS_ALIGN):
     full = np.arctan2(cb_norm, d)
     folded = fold_angle(full)
     sign = np.sign(np.sum(cb * seg_dirs, axis=1))
-    theta = np.where(cb_norm > eps_align, sign * folded, 0.0)
+    theta = np.where(cb_norm > EPS_ALIGN, sign * folded, 0.0)
 
     return DiscreteFrenetData(
         tangents=t,
@@ -442,14 +443,14 @@ def normal_indicatrix(P):
     return curve
 
 
-def turning_angle_at(curve, param, atol=1e-9):
+def turning_angle_at(curve, param):
     """Turn of a polyline at the breakpoint with parameter `param`, measured
     between the nearest nontrivial arcs on each side: the row of the corner
     table there, so folded into [0, pi/2] on RP^2."""
     idx = int(np.argmin(np.abs(curve.cum_length - param)))
-    if abs(curve.cum_length[idx] - param) > atol:
+    if abs(curve.cum_length[idx] - param) > BREAKPOINT_ATOL:
         raise ValueError("no breakpoint at the requested parameter")
-    c = curve.corners(min_arc=atol)
+    c = curve.corners(min_arc=BREAKPOINT_ATOL)
     row = int(np.searchsorted(c.arc_out, idx))  # first live arc starting at or after idx
     if row == c.arc_out.size or c.arc_in[row] >= idx:
         raise ValueError("no nontrivial arc on one side of the breakpoint")
@@ -467,7 +468,6 @@ class Witness:
     inscribed: Polygonal3
     tat: float
     tat_inscribed: float
-    dropped_vertex: int = 3
 
     @property
     def gap(self):

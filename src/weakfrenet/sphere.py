@@ -22,6 +22,8 @@ EPS_ANTIPODAL = 1e-9
 # lengths agree with the quotient distance between their endpoints
 MAX_PROJ_ARC = 0.5 * np.pi
 
+N_SUP_GRID = 1024  # uniform grid of sup_distance
+
 
 def unit(v):
     """Normalize v (shape (..., 3)); raises on (near-)zero input."""
@@ -271,9 +273,6 @@ class ScheduledPath:
     def eval(self, s):
         return _eval_piecewise(self.points, self.params, s)
 
-    def path_length(self):
-        return float(np.sum(sphere_distance(self.points[:-1], self.points[1:])))
-
 
 def lift_signs(reps, seed=None, on_ambiguous="raise"):
     """Continuous lift of a sequence of projective representatives: each
@@ -346,10 +345,10 @@ def split_long_arcs(points, max_len=MAX_PROJ_ARC, lengths=None):
             np.insert(cum, arc + 1, cum[arc] + lam * lengths[arc]))
 
 
-def sup_distance(curve_a, curve_b, n_grid=1024):
+def sup_distance(curve_a, curve_b):
     """Sup over a uniform grid of pointwise distance between two curves, each
     evaluated with constant speed over its own domain."""
-    s = np.linspace(0.0, 1.0, n_grid)
+    s = np.linspace(0.0, 1.0, N_SUP_GRID)
     pa = curve_a.eval(s * curve_a.total_length)
     pb = curve_b.eval(s * curve_b.total_length)
     if curve_a.space == "projective" or curve_b.space == "projective":

@@ -36,6 +36,9 @@ from .sphere import (
     unit,
 )
 
+N_FIT_LEVELS = 5  # finest levels the limit fit of estimate_limit uses
+
+
 @dataclass(frozen=True)
 class RefinementLevel:
     n_params: int
@@ -111,7 +114,7 @@ def refine(curve, levels, base_n, rng=None):
     return RefinementSequence(curve=curve, levels=tuple(out))
 
 
-def estimate_limit(values, meshes, n_use=5):
+def estimate_limit(values, meshes):
     """Limit estimate of a refinement sequence by least squares against
     1 + sqrt(mesh) + mesh.
 
@@ -126,8 +129,8 @@ def estimate_limit(values, meshes, n_use=5):
     values, meshes = values[good], meshes[good]
     if values.size < 3:
         return float(values[-1]) if values.size else float("nan")
-    v = values[-n_use:]
-    m = meshes[-n_use:]
+    v = values[-N_FIT_LEVELS:]
+    m = meshes[-N_FIT_LEVELS:]
     basis = np.column_stack([np.ones_like(m), np.sqrt(m), m])
     coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
     est = float(coef[0])

@@ -11,10 +11,19 @@ from weakfrenet import cli
 PI = np.pi
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 does."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_loads(out)
 
 
 def strip_timestamp(report):
@@ -55,10 +64,38 @@ class TestImport:
 
 
 class TestReportSanitization:
-    def test_nonfinite_values_marked_diverging(self):
-        assert cli._finite(np.inf) == "diverging"
-        assert cli._finite(np.nan) == "diverging"
-        assert cli._finite(1.5) == 1.5
+    def test_nonfinite_values_marked_diverging(self, capsys):
+        report = {"inf": np.inf, "nan": np.nan, "finite": 1.5,
+                  "nested": {"rows": [{"x": -np.inf}, [2.0, np.nan]]}}
+        cli.emit_report(report)
+        out = strict_loads(capsys.readouterr().out)
+        assert out["inf"] == "diverging"
+        assert out["nan"] == "diverging"
+        assert out["finite"] == 1.5
+        assert out["nested"] == {"rows": [{"x": "diverging"}, [2.0, "diverging"]]}
+        # marked in place: no second copy of a large report is built
+        assert report["nested"]["rows"][0]["x"] == "diverging"
+
+    def test_infinite_tolerance_is_strict_json(self, tmp_path, capsys):
+        code, report = run(
+            ["converge", "--model", "helix", "--levels", "3", "--base-n", "16",
+             "--tol-identity", "inf", "--tol-converge", "inf", "--out", str(tmp_path / "i")],
+            capsys,
+        )
+        assert code == 0
+        assert report["identities"]["tol"] == "diverging"
+
+    def test_error_overwrites_report_file(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        common = ["--levels", "2", "--base-n", "8", "--tol-converge", "1",
+                  "--out", str(tmp_path / "o"), "--report", str(path)]
+        code, report = run(["converge", "--model", "circle", *common], capsys)
+        assert code == 0
+        assert strict_loads(path.read_text())["status"] == "ok"
+        code, report = run(["converge", "--model", "nope", *common], capsys)
+        assert code == 2
+        assert report["status"] == "error"
+        assert strict_loads(path.read_text()) == report
 
 
 class TestParsing:
