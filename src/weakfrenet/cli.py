@@ -98,7 +98,8 @@ def read_polygonal(path):
 def _write_csv(path, header, columns, sep=","):
     """Write `header`, then one line per row of the equal-length `columns`,
     each value the repr of its Python scalar (floats round-trip, ints stay
-    ints).  Returns path."""
+    ints).  Creates the parent directory; returns path."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -197,7 +198,6 @@ def cmd_analyze(args, report):
     }
     sched = normal_schedule(P)
     report["schedule"] = {"C": sched.C.tolist(), "T": sched.T.tolist()}
-    os.makedirs(args.out, exist_ok=True)
     files = report["files"] = {}
     files["tantrix"] = write_indicatrix_csv(os.path.join(args.out, "tantrix.csv"), tantrix(P))
     try:
@@ -241,7 +241,6 @@ def cmd_converge(args, report):
     for key in ("tc", "tat", "ct"):
         report[key] = weak.estimate_limit([row[key] for row in table], meshes)
 
-    os.makedirs(args.out, exist_ok=True)
     statuses = report["weak_status"] = {}
     files = report["files"] = {}
 
@@ -298,7 +297,6 @@ def _curvature_force_block(K):
 
 
 def cmd_forces(args, report):
-    os.makedirs(args.out, exist_ok=True)
     if args.input:
         P = sanitize(read_polygonal(args.input))
         report["input"] = {"path": args.input}
@@ -356,7 +354,6 @@ def cmd_witness(args, report):
     except SearchFailed as exc:
         report["status"] = f"search-failed: {exc}"
         return EXIT_SEARCH_FAILED
-    os.makedirs(args.out, exist_ok=True)
     report["files"] = {
         "P": write_polygonal(os.path.join(args.out, "witness_P.txt"), w.polygonal),
         "P_inscribed": write_polygonal(
@@ -403,7 +400,6 @@ def cmd_lift(args, report):
     curve = GeodesicPolyline.from_projective_points(pts)
     seed = _parse_vec(args.seed_dir) if args.seed_dir else curve.points[0]
     lifted, closure = lift_projective_polyline(curve, unit(seed))
-    os.makedirs(args.out, exist_ok=True)
     path = _write_csv(os.path.join(args.out, "lifted.csv"), "s,x,y,z",
                       [lifted.cum_length, *lifted.points.T])
     report["input"] = {"path": args.input, "points": int(pts.shape[0])}

@@ -85,13 +85,13 @@ def curvature_force(obj, n_density=2048, corners=()):
     if isinstance(obj, Polygonal3):
         fr = obj.frenet
         cum = obj.arclength_of_vertices()
-        # junction j joins segments j and j + 1 (mod m when closed)
-        n_junc = fr.turning_angles.size
-        jumps = np.roll(fr.tangents, -1, axis=0)[:n_junc] - fr.tangents[:n_junc]
+        # junction j sits at vertex nxt[j], arc length cum[j + 1]
+        j, nxt = obj.junctions()
+        jumps = fr.tangents[nxt] - fr.tangents[j]
         return VectorMeasure(
             (0.0, float(cum[-1])),
             "arclength",
-            atoms=tuple(zip(cum[1 : n_junc + 1].tolist(), jumps)),
+            atoms=tuple(zip(cum[j + 1].tolist(), jumps)),
         )
 
     curve = obj

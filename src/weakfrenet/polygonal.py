@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DegeneratePolygonal, SearchFailed, ZeroTorsion
 from .sphere import (
     GeodesicPolyline,
-    ScheduledPath,
     fold_angle,
     lift_signs,
     split_long_arcs,
@@ -27,12 +26,24 @@ EPS_ALIGN = 1e-12
 BREAKPOINT_ATOL = 1e-9  # parameter match, and shortest live arc, of turning_angle_at
 
 
+def _junctions(n_rows, closed):
+    """The junction rule of a polygonal's rows (its vertices or its segments):
+    junction j joins row j to row nxt[j] = (j + 1) % n_rows.  A closed
+    polygonal has n_rows junctions, an open one n_rows - 1.  For segment
+    rows nxt[j] is also the vertex where junction j sits.  Returns (j, nxt),
+    two windows on one ring 0, 1, ..., n_rows - 1, 0."""
+    ring = np.arange(n_rows + 1)
+    ring[-1] = 0
+    n_junc = n_rows if closed else n_rows - 1
+    return ring[:n_junc], ring[1 : n_junc + 1]
+
+
 @dataclass(frozen=True)
 class Polygonal3:
     """Ordered vertex list in 3-space.
 
     Closed polygonals store each vertex once (no repeated first vertex);
-    segment i runs from vertex i to vertex i+1 (mod n when closed).
+    segment i is vertex junction i, from vertex i to vertex nxt[i].
     return_points lists vertex indices where the direction reverses exactly;
     sanitize() fills it in.  Vertices are never written in place, so the
     discrete Frenet data is computed once, on first access to `frenet`.
@@ -53,12 +64,16 @@ class Polygonal3:
 
     @property
     def n_segments(self):
-        return self.n_vertices if self.closed else self.n_vertices - 1
+        return _junctions(self.n_vertices, self.closed)[0].size
 
     def segment_vectors(self):
-        if self.closed:
-            return np.roll(self.vertices, -1, axis=0) - self.vertices
-        return np.diff(self.vertices, axis=0)
+        j, nxt = _junctions(self.n_vertices, self.closed)
+        return self.vertices[nxt] - self.vertices[j]
+
+    def junctions(self):
+        """(j, nxt) of the segments: junction j joins segment j to segment
+        nxt[j], at vertex nxt[j]."""
+        return _junctions(self.n_segments, self.closed)
 
     def segment_lengths(self):
         return np.linalg.norm(self.segment_vectors(), axis=1)
@@ -85,24 +100,26 @@ class Polygonal3:
         return discrete_frenet(self)
 
 
+def _row_products(rows, a, b):
+    """Cross products, their norms and dot products of rows[a], rows[b]."""
+    u, w = rows[a], rows[b]
+    cross = np.cross(u, w)
+    return cross, np.linalg.norm(cross, axis=1), np.sum(u * w, axis=1)
+
+
 def _junction_flags(verts, closed):
-    """Per interior vertex: 0 bend, 1 aligned same-direction, -1 reversal.
-    For closed input the flag at index i refers to vertex i (all vertices
-    are interior); for open input to vertex i+1."""
-    if closed:
-        seg = np.roll(verts, -1, axis=0) - verts
-        u, w = np.roll(seg, 1, axis=0), seg
-    else:
-        seg = np.diff(verts, axis=0)
-        u, w = seg[:-1], seg[1:]
-    cr = np.linalg.norm(np.cross(u, w), axis=1)
-    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
-    dots = np.sum(u * w, axis=1)
-    flags = np.zeros(u.shape[0], dtype=int)
-    aligned = cr <= EPS_ALIGN * norms
+    """Per segment junction j: 0 bend, 1 aligned same-direction, -1
+    reversal.  Returns (flags, nxt): flag j refers to vertex nxt[j]."""
+    j, nxt = _junctions(verts.shape[0], closed)
+    seg = verts[nxt] - verts[j]
+    j, nxt = _junctions(seg.shape[0], closed)
+    _, cr, dots = _row_products(seg, j, nxt)
+    lens = np.linalg.norm(seg, axis=1)
+    flags = np.zeros(j.size, dtype=int)
+    aligned = cr <= EPS_ALIGN * (lens[j] * lens[nxt])
     flags[aligned & (dots > 0)] = 1
     flags[aligned & (dots <= 0)] = -1
-    return flags
+    return flags, nxt
 
 
 def sanitize(P):
@@ -128,22 +145,15 @@ def sanitize(P):
             raise DegeneratePolygonal(
                 "fewer than %d vertices survive sanitation" % min_verts
             )
-        flags = _junction_flags(verts, closed)
-        merge = flags == 1
-        if not np.any(merge):
+        flags, nxt = _junction_flags(verts, closed)
+        merge = nxt[flags == 1]
+        if not merge.size:
             break
-        if closed:
-            keep = ~merge
-        else:
-            keep = np.concatenate([[True], ~merge, [True]])
-        verts = verts[keep]
+        verts = np.delete(verts, merge, axis=0)
     else:
         raise DegeneratePolygonal("sanitation did not stabilize")
 
-    if closed:
-        returns = tuple(int(i) for i in np.where(flags == -1)[0])
-    else:
-        returns = tuple(int(i) + 1 for i in np.where(flags == -1)[0])
+    returns = tuple(sorted(nxt[flags == -1].tolist()))
     return Polygonal3(verts, closed=closed, return_points=returns)
 
 
@@ -152,13 +162,14 @@ class DiscreteFrenetData:
     """Tangents, binormals and the three torsion/curvature totals of a
     sanitized polygonal.
 
-    Index conventions (0-based, m = number of segments):
+    Index conventions (0-based; m segments, n_junc junctions, and
+    (j, nxt) = P.junctions(), the segment junctions of _junctions):
       * tangents[i] is the direction of segment i;
-      * binormals[j] belongs to the junction of segments j, j+1
-        (open: j = 0..m-2; closed: j = 0..m-1, wrapping);
-      * turning_angles[j] is the angle at the same junction;
-      * torsion_angles pair binormals (j-1, j) and sit on the segment listed
-        in torsion_segments (open: segments 1..m-2; closed: all m).
+      * binormals[j] and turning_angles[j] belong to junction j, which joins
+        segments j and nxt[j] at vertex nxt[j];
+      * torsion_angles[k] sits on segment S[k] of torsion_segments
+        S = arange(m - n_junc, n_junc) (open: 1..m-2; closed: 0..m-1) and
+        pairs binormals S[k] - 1 and S[k], the junctions at its two ends.
     """
 
     tangents: np.ndarray
@@ -167,7 +178,6 @@ class DiscreteFrenetData:
     torsion_angles: np.ndarray
     torsion_segments: np.ndarray
     binormal_gaps: np.ndarray  # full sphere distance between paired binormals
-    closed: bool
 
     @property
     def tc(self):
@@ -193,19 +203,11 @@ def discrete_frenet(P):
     if np.any(lens <= 0):
         raise DegeneratePolygonal("zero-length segment; sanitize first")
     t = segs / lens[:, None]
-    m = t.shape[0]
-
-    if P.closed:
-        ta, tb = t, np.roll(t, -1, axis=0)
-    else:
-        ta, tb = t[:-1], t[1:]
-    cross = np.cross(ta, tb)
-    cross_norm = np.linalg.norm(cross, axis=1)
-    dots = np.sum(ta * tb, axis=1)
+    j, nxt = P.junctions()
+    cross, cross_norm, dots = _row_products(t, j, nxt)
     alpha = np.arctan2(cross_norm, dots)
 
-    n_junc = cross.shape[0]
-    binormals = np.zeros((n_junc, 3))
+    binormals = np.zeros((j.size, 3))
     defined = cross_norm > EPS_ALIGN
     reversal = (~defined) & (dots < 0)
     if np.any(reversal):
@@ -214,29 +216,11 @@ def discrete_frenet(P):
     if not np.all(defined):
         binormals = _fill_undefined_binormals(binormals, defined)
 
-    if P.closed:
-        seg_idx = np.arange(m)
-        prev_b = np.roll(binormals, 1, axis=0)
-        cur_b = binormals
-        seg_dirs = t
-    else:
-        if m < 3:
-            seg_idx = np.arange(0)
-            prev_b = np.zeros((0, 3))
-            cur_b = np.zeros((0, 3))
-            seg_dirs = np.zeros((0, 3))
-        else:
-            seg_idx = np.arange(1, m - 1)
-            prev_b = binormals[:-1]
-            cur_b = binormals[1:]
-            seg_dirs = t[1:-1]
-
-    cb = np.cross(prev_b, cur_b)
-    cb_norm = np.linalg.norm(cb, axis=1)
-    d = np.sum(prev_b * cur_b, axis=1)
+    S = np.arange(t.shape[0] - j.size, j.size)
+    cb, cb_norm, d = _row_products(binormals, S - 1, S)
     full = np.arctan2(cb_norm, d)
     folded = fold_angle(full)
-    sign = np.sign(np.sum(cb * seg_dirs, axis=1))
+    sign = np.sign(np.sum(cb * t[S], axis=1))
     theta = np.where(cb_norm > EPS_ALIGN, sign * folded, 0.0)
 
     return DiscreteFrenetData(
@@ -244,9 +228,8 @@ def discrete_frenet(P):
         binormals=binormals,
         turning_angles=alpha,
         torsion_angles=theta,
-        torsion_segments=seg_idx,
+        torsion_segments=S,
         binormal_gaps=full,
-        closed=P.closed,
     )
 
 
@@ -264,9 +247,7 @@ def tantrix(P):
     """Tangent indicatrix: spherical polyline through the segment directions.
     Its length is the total curvature of P."""
     fr = P.frenet
-    pts = fr.tangents
-    if P.closed:
-        pts = np.vstack([pts, pts[:1]])
+    pts = fr.tangents[np.r_[0, P.junctions()[1]]]
     cum = np.concatenate([[0.0], np.cumsum(fr.turning_angles)])
     return GeodesicPolyline(pts, "sphere", cum)
 
@@ -277,10 +258,8 @@ def polar_curve(P):
     fr = P.frenet
     if P.n_segments < 3:
         raise DegeneratePolygonal("polar needs >= 3 segments")
-    if P.closed:
-        reps = np.vstack([fr.binormals[-1:], fr.binormals])
-    else:
-        reps = fr.binormals
+    S = fr.torsion_segments
+    reps = fr.binormals[np.r_[S[0] - 1, S]]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(fr.torsion_angles))])
     return GeodesicPolyline(lift_signs(reps, on_ambiguous="keep"), "projective", cum)
 
@@ -325,7 +304,7 @@ def polygonal_measures(P):
     segments = fr.torsion_segments[twisted]
     lengths = P.segment_lengths()[segments]
     return PolygonalMeasures(
-        atom_vertices=(np.arange(fr.turning_angles.size) + 1) % P.n_vertices,
+        atom_vertices=P.junctions()[1],
         atom_angles=fr.turning_angles,
         density_segments=segments,
         densities=fr.torsion_angles[twisted] / lengths,
@@ -340,7 +319,6 @@ class ScheduleTable:
 
     C: np.ndarray
     T: np.ndarray
-    closed: bool
 
     @property
     def total(self):
@@ -352,12 +330,10 @@ def normal_schedule(P):
     alpha = fr.turning_angles
     theta = np.abs(fr.torsion_angles)
     C = np.concatenate([[0.0], np.cumsum(alpha)])
-    if P.closed:
-        T = np.concatenate([[0.0], np.cumsum(theta)])
-    else:
-        # torsion starts on the second segment, so both first entries stall
-        T = np.concatenate([[0.0, 0.0], np.cumsum(theta)])
-    return ScheduleTable(C=C, T=T, closed=P.closed)
+    # open: torsion starts on the second segment, so both first entries stall
+    stalls = np.zeros(fr.tangents.shape[0] - alpha.size + 1)
+    T = np.concatenate([stalls, np.cumsum(theta)])
+    return ScheduleTable(C=C, T=T)
 
 
 # arc pieces are kept clearly below pi/2 so projective invariants hold
@@ -369,56 +345,36 @@ def _interleave_arrays(P):
 
     Returns (durations, t_pts, b_pts): the alternating event durations and
     the tangent/binormal values at the event boundaries (one more breakpoint
-    than events).  At each boundary the two values are orthogonal.
+    than events).  At each boundary the two values are orthogonal.  Junction
+    j gives two events: Gamma_j on segment j (the binormal turns into b_j),
+    then gamma_j at the junction (the tangent turns to t_nxt[j]).  An open
+    polygonal's Gamma_0 has no binormal before it; it is empty and dropped.
+    Raises DegeneratePolygonal when TC + TAT vanishes.
     """
     fr = P.frenet
-    t = fr.tangents
-    alpha = fr.turning_angles
-    theta = np.abs(fr.torsion_angles)
-    m = t.shape[0]
-    if P.closed:
-        chain = np.vstack([fr.binormals[-1:], fr.binormals])
-        B = lift_signs(chain, on_ambiguous="keep")
-        dur = np.empty(2 * m)
-        dur[0::2] = theta  # Gamma_j on segment j
-        dur[1::2] = alpha  # gamma_j at the following vertex
-        t_pts = np.empty((2 * m + 1, 3))
-        t_pts[0] = t[0]
-        t_pts[1::2] = t  # after Gamma_j the tangent is still t_j
-        t_pts[2::2] = np.roll(t, -1, axis=0)  # after gamma_j it is t_{j+1}
-        b_pts = np.empty((2 * m + 1, 3))
-        b_pts[0] = B[0]
-        b_pts[1::2] = B[1:]
-        b_pts[2::2] = B[1:]
-    else:
-        if m < 2:
-            raise DegeneratePolygonal("need >= 2 segments")
-        B = lift_signs(fr.binormals, on_ambiguous="keep")
-        dur = np.empty(2 * m - 3)
-        dur[0::2] = alpha
-        dur[1::2] = theta
-        t_pts = np.empty((2 * m - 2, 3))
-        t_pts[0] = t[0]
-        t_pts[1::2] = t[1:]
-        t_pts[2::2] = t[1 : m - 1]
-        b_pts = np.empty((2 * m - 2, 3))
-        b_pts[0] = B[0]
-        b_pts[1::2] = B
-        b_pts[2::2] = B[1:]
-    return dur, t_pts, b_pts
+    j, nxt = P.junctions()
+    skip = fr.tangents.shape[0] - j.size
+    tor = np.zeros(fr.tangents.shape[0])
+    tor[fr.torsion_segments] = np.abs(fr.torsion_angles)
+    dur = np.column_stack([tor[j], fr.turning_angles]).ravel()[skip:]
+    if float(np.sum(dur)) <= 0:
+        raise DegeneratePolygonal("TC + TAT vanishes")
+    # the tangent holds through each Gamma_j, the binormal through each gamma_j
+    t_pts = np.repeat(fr.tangents[np.r_[0, nxt]], 2, axis=0)[:-1]
+    B = lift_signs(fr.binormals[np.r_[skip - 1, j]], on_ambiguous="keep")
+    b_pts = np.repeat(B, 2, axis=0)[1:]
+    return dur, t_pts[skip:], b_pts[skip:]
 
 
 def interleaved_pair(P):
     """The pair of projective paths on [0, TC + TAT]: exactly one of them
     moves at unit speed at a.e. parameter, and their representatives stay
-    orthogonal.  Stored through sphere lifts."""
+    orthogonal.  Stored through sphere lifts, with the schedule parameters
+    (stalls included) as cum_length."""
     dur, t_pts, b_pts = _interleave_arrays(P)
-    total = float(np.sum(dur))
-    if total <= 0:
-        raise DegeneratePolygonal("TC + TAT vanishes")
     params = np.concatenate([[0.0], np.cumsum(dur)])
-    t_path = ScheduledPath(t_pts, params, "projective")
-    b_path = ScheduledPath(b_pts, params, "projective")
+    t_path = GeodesicPolyline(t_pts, "projective", params)
+    b_path = GeodesicPolyline(b_pts, "projective", params)
     return t_path, b_path
 
 
@@ -431,8 +387,6 @@ def normal_indicatrix(P):
     nondegenerate (where the turning angle is pi/2).
     """
     dur, t_pts, b_pts = _interleave_arrays(P)
-    if float(np.sum(dur)) <= 0:
-        raise DegeneratePolygonal("TC + TAT vanishes")
     pts, cum = split_long_arcs(unit(np.cross(b_pts, t_pts)), _MAX_PIECE, dur)
     curve = GeodesicPolyline(pts, "projective", cum)
     inner = (dur[:-1] > 0.0) & (dur[1:] > 0.0)

@@ -167,11 +167,16 @@ def _eval_piecewise(points, params, s):
 
 
 class GeodesicPolyline:
-    """Piecewise-geodesic curve on S^2 or RP^2, arc-length parameterized.
+    """Piecewise-geodesic curve on S^2 or RP^2 over the parameter table
+    cum_length: constant-speed on each arc, constant on an arc of zero point
+    motion but positive parameter width (a stall).
 
     ``points`` are unit vectors; for the projective plane they form a
-    continuous lift to S^2 and each stored arc is at most pi/2 long, so that
-    cum_length increments equal the quotient distance between breakpoints.
+    continuous lift to S^2.  For the indicatrices cum_length is arc length,
+    and each projective arc is at most pi/2 long, so that cum_length
+    increments equal the quotient distance between breakpoints.  For the
+    interleaved tangent/binormal pair it is the schedule parameter, with
+    stalls.
     """
 
     def __init__(self, points, space, cum_length=None):
@@ -252,26 +257,6 @@ class Corners:
     t_in: np.ndarray  # (m, 3) unit tangent at the end of arc_in
     t_out: np.ndarray  # (m, 3) unit tangent at the start of arc_out
     turn: np.ndarray  # in [0, pi]; [0, pi/2] on RP^2
-
-
-class ScheduledPath:
-    """Piecewise-geodesic map with an explicit parameter table: constant on
-    stall intervals, constant-speed on moving intervals.  Used for the
-    interleaved tangent/binormal pair, which is not arc-length parameterized."""
-
-    def __init__(self, points, params, space):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.params = np.asarray(params, dtype=float)
-        self.space = space
-        if self.params.shape[0] != self.points.shape[0]:
-            raise ValueError("params must match breakpoints")
-
-    @property
-    def domain(self):
-        return float(self.params[0]), float(self.params[-1])
-
-    def eval(self, s):
-        return _eval_piecewise(self.points, self.params, s)
 
 
 def lift_signs(reps, seed=None, on_ambiguous="raise"):

@@ -199,11 +199,9 @@ def _tantrix_with_policy(P, return_dir):
         return tantrix(P)
     segs = P.segment_vectors()
     t = segs / np.linalg.norm(segs, axis=1)[:, None]
-    # junction j joins segments j and j+1 (mod m when closed) at vertex j+1
-    ta, tb = (t, np.roll(t, -1, axis=0)) if P.closed else (t[:-1], t[1:])
-    ret = np.flatnonzero(
-        np.isin((np.arange(ta.shape[0]) + 1) % P.n_vertices, P.return_points)
-    )
+    j, nxt = P.junctions()
+    ta, tb = t[j], t[nxt]
+    ret = np.flatnonzero(np.isin(nxt, P.return_points))
     u = unit(np.asarray(return_dir, dtype=float))
     w = u - (ta[ret] @ u)[:, None] * ta[ret]
     w_norm = np.linalg.norm(w, axis=1)

@@ -322,6 +322,14 @@ class TestForcesCmd:
         assert table["tc"] == pytest.approx(2 * PI)
         assert len(table["atoms"]) == 4
 
+    def test_input_leaves_no_out_directory(self, square_json, tmp_path, capsys):
+        # a polygonal input gives atoms only, so no file and no directory
+        out = tmp_path / "new" / "out"
+        code, report = run(["forces", "--input", square_json, "--out", str(out)], capsys)
+        assert code == 0
+        assert "files" not in report
+        assert not (tmp_path / "new").exists()
+
     def test_line_empty_tables(self, tmp_path, capsys):
         path = tmp_path / "line.txt"
         path.write_text("0 0 0\n1 0 0\n2.5 0 0\n")

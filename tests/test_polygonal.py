@@ -44,6 +44,11 @@ class TestSanitize:
         P = sanitize(Polygonal3([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
         assert P.n_vertices == 3
         assert P.return_points == (1,)
+        # closed: returns at the wrap vertex and at vertex 2, listed in order
+        verts = [[0, 0, 0], [1, 0, 0], [1, 2, 0], [1, 1, 0], [0.5, 0, 0]]
+        P = sanitize(Polygonal3(verts, closed=True))
+        assert P.n_vertices == 5
+        assert P.return_points == (0, 2)
 
     def test_zero_length_segments_dropped(self):
         P = sanitize(Polygonal3([[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 1, 0]]))
@@ -275,7 +280,7 @@ class TestInterleavedPair:
     def test_staircase_schedule(self, staircase):
         t_path, b_path = interleaved_pair(staircase)
         total = 3 * PI / 2
-        assert t_path.domain == (0.0, pytest.approx(total))
+        assert (t_path.cum_length[0], t_path.total_length) == (0.0, pytest.approx(total))
         # [0, pi/2]: tangent moves along gamma_1, binormal constant (0,0,1)
         s = np.linspace(0.01, PI / 2 - 0.01, 9)
         assert np.all(proj_distance(b_path.eval(s), [0, 0, 1]) < 1e-12)
@@ -290,7 +295,7 @@ class TestInterleavedPair:
 
     def test_planar_binormal_constant(self, zigzag):
         t_path, b_path = interleaved_pair(zigzag)
-        s = np.linspace(0, t_path.domain[1], 50)
+        s = np.linspace(0, t_path.total_length, 50)
         assert np.all(proj_distance(b_path.eval(s), b_path.eval(0.0)) < 1e-12)
 
     def test_orthogonality_and_domain(self, rng):
@@ -298,8 +303,8 @@ class TestInterleavedPair:
             P = random_polygonal(rng)
             fr = discrete_frenet(P)
             t_path, b_path = interleaved_pair(P)
-            assert t_path.domain[1] == pytest.approx(fr.tc + fr.tat, abs=1e-9)
-            s = np.linspace(0, t_path.domain[1], 101)
+            assert t_path.total_length == pytest.approx(fr.tc + fr.tat, abs=1e-9)
+            s = np.linspace(0, t_path.total_length, 101)
             dots = np.sum(t_path.eval(s) * b_path.eval(s), axis=1)
             assert np.max(np.abs(dots)) < 1e-9
 
@@ -392,6 +397,31 @@ class TestWholeFamilyInvariants:
             assert fq.tc == pytest.approx(fr.tc, abs=1e-9)
             assert fq.tat == pytest.approx(fr.tat, abs=1e-9)
             assert fq.ct == pytest.approx(fr.ct, abs=1e-9)
+
+    def test_closed_equals_open_unrolling(self, rng):
+        # the unrolling v_0..v_{n-1}, v_0, v_1 has the closed junctions in
+        # the same order; its torsion misses the wrap segment 0
+        for _ in range(40):
+            P = random_polygonal(rng, closed=True)
+            v = P.vertices
+            fr = P.frenet
+            fq = Polygonal3(np.vstack([v, v[:2]])).frenet
+            assert np.array_equal(fq.turning_angles, fr.turning_angles)
+            assert np.array_equal(fq.binormals, fr.binormals)
+            assert np.array_equal(fq.torsion_angles, fr.torsion_angles[1:])
+
+    def test_cyclic_relabelling_rolls_closed_data(self, rng):
+        for _ in range(40):
+            P = random_polygonal(rng, closed=True)
+            k = int(rng.integers(1, P.n_vertices))
+            fr = P.frenet
+            fq = Polygonal3(np.roll(P.vertices, -k, axis=0), closed=True).frenet
+            assert np.array_equal(fq.turning_angles, np.roll(fr.turning_angles, -k))
+            assert np.array_equal(fq.torsion_angles, np.roll(fr.torsion_angles, -k))
+            assert np.array_equal(fq.binormals, np.roll(fr.binormals, -k, axis=0))
+            assert fq.tc == pytest.approx(fr.tc, abs=1e-12)
+            assert fq.tat == pytest.approx(fr.tat, abs=1e-12)
+            assert fq.ct == pytest.approx(fr.ct, abs=1e-12)
 
     def test_fenchel_closed(self, rng):
         for _ in range(40):
