@@ -47,6 +47,7 @@ EXIT_NOT_CONVERGED = 3
 EXIT_SEARCH_FAILED = 4
 
 N_UNIFORM = 512  # uniform samples of an indicatrix CSV, besides its breakpoints
+CSV_BLOCK = 8192  # CSV rows formatted at once
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +75,7 @@ def read_polygonal(path):
         if not isinstance(closed, bool):
             raise ParseError('"closed" must be a JSON boolean (true or false)')
     else:
-        verts = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 coordinates, got {len(parts)}", line=lineno)
-            try:
-                verts.append([float(x) for x in parts])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno)
+        verts = _parse_vertex_text(text)
         closed = False
     arr = np.asarray(verts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 2:
@@ -95,15 +85,45 @@ def read_polygonal(path):
     return Polygonal3(arr, closed=closed)
 
 
+def _parse_vertex_text(text):
+    """Vertex rows of the text format.  Input without comments whose
+    non-blank lines all hold three tokens is converted in one call; anything
+    else goes line by line, so that a ParseError names its line."""
+    lines = text.splitlines()
+    if "#" not in text and set(map(len, map(str.split, lines))) <= {0, 3}:
+        try:
+            return np.array(list(map(float, text.split()))).reshape(-1, 3)
+        except ValueError:
+            pass  # a token float() rejects: the loop below names its line
+    verts = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 coordinates, got {len(parts)}", line=lineno)
+        try:
+            verts.append([float(x) for x in parts])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno)
+    return verts
+
+
 def _write_csv(path, header, columns, sep=","):
     """Write `header`, then one line per row of the equal-length `columns`,
     each value the repr of its Python scalar (floats round-trip, ints stay
-    ints).  Creates the parent directory; returns path."""
+    ints).  Rows are formatted a column and CSV_BLOCK rows at a time, which
+    bounds the Python objects alive at once.  Creates the parent directory;
+    returns path."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    columns = [np.asarray(c) for c in columns]
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(sep.join(map(repr, row)) + "\n" for row in rows)
+        for start in range(0, n_rows, CSV_BLOCK):
+            block = [map(repr, c[start:start + CSV_BLOCK].tolist()) for c in columns]
+            fh.write("\n".join(map(sep.join, zip(*block))) + "\n")
     return path
 
 
@@ -137,9 +157,23 @@ def _atom_table(measure):
             for p, w in measure.atoms]
 
 
+def _finite_numbers(values):
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return False
+
+
 def _mark_diverging(node):
     """Replace, in place, every non-finite float in the dicts and lists under
-    `node` by "diverging"."""
+    `node` by "diverging".  A list of finite numbers, or of dicts of finite
+    numbers (a row table), is cleared in one pass."""
+    if isinstance(node, list) and (
+        _finite_numbers(node)
+        or set(map(type, node)) == {dict}
+        and _finite_numbers([v for row in node for v in row.values()])
+    ):
+        return
     for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
         if isinstance(value, float):
             if not math.isfinite(value):
@@ -155,11 +189,66 @@ def _publish(text, path):
     print(text)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _scalar_texts(values):
+    """JSON text of each scalar in the non-empty list `values`, from one
+    call of the C encoder (which runs only without `indent`).  A newline is
+    a safe separator: JSON text escapes every newline inside a string."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+
+
+def _item_texts(values, depth):
+    """JSON text of each item of the list `values`, nested `depth` deep:
+    all scalars go through the C encoder at once, anything else one by one."""
+    if set(map(type, values)) <= _SCALARS:
+        return _scalar_texts(values)
+    return [_to_json(v, depth) for v in values]
+
+
+def _row_texts(rows, keys, depth):
+    """JSON text of each dict in `rows`, all with the key set `keys`, nested
+    `depth` deep: each key's column is encoded at once and the rows are
+    filled into one template."""
+    keys = sorted(keys)
+    if not all(isinstance(k, str) for k in keys):
+        raise TypeError("report keys must be strings")
+    inner = ",\n" + "  " * (depth + 1)
+    template = ("{" + inner[1:]
+                + inner.join(k.replace("%", "%%") + ": %s" for k in _scalar_texts(keys))
+                + "\n" + "  " * depth + "}")
+    columns = [_item_texts([row[k] for row in rows], depth + 1) for k in keys]
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _to_json(node, depth=0):
+    """The text json.dumps gives for `node` with indent=2 and sort_keys=True,
+    with the scalars encoded by the C encoder a list at a time.  Keys must
+    be strings.  A list of dicts that share one key set (the row tables of
+    a report) is encoded a column at a time."""
+    if isinstance(node, dict):
+        return _row_texts([node], node, depth)[0] if node else "{}"
+    if not isinstance(node, (list, tuple)):
+        return json.dumps(node)
+    if not node:
+        return "[]"
+    first = node[0]
+    if (set(map(type, node)) == {dict} and first
+            and all(map(first.keys().__eq__, map(dict.keys, node)))):
+        items = _row_texts(node, first, depth + 1)
+    else:
+        items = _item_texts(node, depth + 1)
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
 def emit_report(report, path=None):
-    """Print the report as indented JSON, and write it to `path` when given.
+    """Print the report as indented JSON (json.dumps with indent=2 and
+    sort_keys, byte for byte), and write it to `path` when given.
     Non-finite values are written as "diverging"."""
     _mark_diverging(report)
-    _publish(json.dumps(report, indent=2, sort_keys=True), path)
+    _publish(_to_json(report), path)
 
 
 # ---------------------------------------------------------------------------

@@ -249,18 +249,26 @@ def frenet_ode_curve(k_profile, tau_profile, domain, step=None, start=None):
 
 def _profile_values(fn, s):
     """fn at every entry of the array s; a pole, an overflow or a non-finite
-    value raises BlowUp."""
+    value raises BlowUp.  fn is called once on the whole array when it
+    answers with an array of that shape or a scalar; a profile that branches
+    in Python on its argument is called point by point."""
     s = np.asarray(s, dtype=float)
+    vals = np.empty(s.shape)
     try:
-        vals = np.array([fn(x) for x in s.ravel().tolist()], dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                whole = np.asarray(fn(s), dtype=float)
+            if whole.shape not in ((), s.shape):
+                raise ValueError("profile does not map arrays pointwise")
+            vals[...] = whole
+        except (TypeError, ValueError):
+            vals.flat = [fn(x) for x in s.ravel().tolist()]
     except (ZeroDivisionError, OverflowError) as exc:
         raise BlowUp(f"profile is not finite on the domain ({exc}); truncate it") from exc
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise BlowUp(
-            f"profile is not finite at s = {s.ravel()[bad][0]}; truncate the domain"
-        )
-    return vals.reshape(s.shape)
+        raise BlowUp(f"profile is not finite at s = {s[bad][0]}; truncate the domain")
+    return vals
 
 
 def _rotations(w):

@@ -257,7 +257,8 @@ def polar_curve(P):
     consecutive binormal classes.  Its length is the total absolute torsion."""
     fr = P.frenet
     if P.n_segments < 3:
-        raise DegeneratePolygonal("polar needs >= 3 segments")
+        # at most one binormal: no torsion angle, TAT = 0
+        raise ZeroTorsion("fewer than 3 segments: the polar degenerates to a point")
     S = fr.torsion_segments
     reps = fr.binormals[np.r_[S[0] - 1, S]]
     cum = np.concatenate([[0.0], np.cumsum(np.abs(fr.torsion_angles))])

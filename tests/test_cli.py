@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakfrenet import cli
 
@@ -76,6 +78,14 @@ class TestReportSanitization:
         # marked in place: no second copy of a large report is built
         assert report["nested"]["rows"][0]["x"] == "diverging"
 
+    def test_row_table_marked_in_place(self, capsys):
+        rows = [{"a": 1.0, "b": 2}, {"a": -np.inf, "b": 3}, {"a": 0.5, "b": 4}]
+        report = {"rows": rows, "flat": [1.0, np.nan]}
+        cli.emit_report(report)
+        assert rows[1]["a"] == "diverging"
+        assert report["flat"] == [1.0, "diverging"]
+        assert strict_loads(capsys.readouterr().out) == report
+
     def test_infinite_tolerance_is_strict_json(self, tmp_path, capsys):
         code, report = run(
             ["converge", "--model", "helix", "--levels", "3", "--base-n", "16",
@@ -96,6 +106,163 @@ class TestReportSanitization:
         assert code == 2
         assert report["status"] == "error"
         assert strict_loads(path.read_text()) == report
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(), st.text(),
+    st.sampled_from([", ", 'a "b", c', "\\", "\u00e9\u2603\U0001f600", "diverging", "%s"]),
+)
+KEYS = st.text(max_size=4) | st.sampled_from(["a, b", '"', "%s", "\u00e9"])
+
+
+def _json_children(children):
+    rows = st.lists(KEYS, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}),
+                              min_size=1, max_size=4)
+    )
+    return st.lists(children, max_size=5) | st.dictionaries(KEYS, children, max_size=5) | rows
+
+
+JSON = st.recursive(SCALARS, _json_children, max_leaves=30)
+
+
+class TestReportEncoding:
+    """The report emitter is json.dumps(indent=2, sort_keys=True), byte for
+    byte, with the scalars encoded by the C encoder."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON)
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [], "c": [[], {}]})
+    @example([[1, [2.5, []]], [[["x"]]]])
+    @example([{"a": 1}, {"b": 2}, {"a": 3, "b": 4}])
+    @example([{"a": 1, "b": [1.0, {"c": None}]}, {"b": [], "a": "x"}])
+    @example({"s": [", ", 'say "a, b"', "back\\slash", "\u00e9\u2603", "%s %%"]})
+    @example([True, None, 10**40, -(10**40), -0.0, 1e-300, "diverging"])
+    @example([{"%k": 1.5, "k, j": "a, b"}, {"%k": -0.0, "k, j": "\n"}])
+    def test_matches_indented_json_dumps(self, obj):
+        assert cli._to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_non_string_keys_rejected(self):
+        with pytest.raises(TypeError):
+            cli._to_json({1: 2})
+
+    @pytest.mark.parametrize("name", ["analyze", "converge", "forces"])
+    def test_seed_7_reports(self, tmp_path, capsys, name):
+        # the benchmark's analyze (seed-7 walk), converge and forces commands
+        # at full size; the witness report holds scalars only
+        if name == "analyze":
+            walk = np.cumsum(np.random.default_rng(7).standard_normal((50_000, 3)), axis=0)
+            np.savetxt(tmp_path / "walk.txt", walk, fmt="%.17g")
+            argv = ["analyze", str(tmp_path / "walk.txt")]
+        elif name == "converge":
+            argv = ["converge", "--model", "inflection", "--levels", "10", "--base-n", "64",
+                    "--tol-converge", "0.05"]
+        else:
+            argv = ["forces", "--model", "blowup", "--params", "delta=0.001", "--levels", "8",
+                    "--seed", "7"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(strict_loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def reference_csv(header, columns, sep):
+    """The CSV writer as one formatted line per row."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return header + "\n" + "".join(sep.join(map(repr, row)) + "\n" for row in rows)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", [0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK,
+                                        cli.CSV_BLOCK + 1])
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_matches_per_row_lines(self, tmp_path, n_rows, sep):
+        rng = np.random.default_rng(n_rows)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        floats[: min(n_rows, 3)] = [-0.0, 1e-300, 1e16][: min(n_rows, 3)]
+        ints = rng.integers(-5, 5, n_rows)
+        columns = [floats, ints, np.arange(n_rows) / 7.0]
+        path = cli._write_csv(str(tmp_path / "sub" / "t.csv"), "f,i,g", columns, sep=sep)
+        text = open(path, encoding="utf-8").read()
+        assert text == reference_csv("f,i,g", columns, sep)
+
+
+def reference_vertices(text):
+    """The text format read line by line: the vertex list, or the ParseError."""
+    verts = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 3:
+            raise cli.ParseError(f"expected 3 coordinates, got {len(parts)}", line=lineno)
+        try:
+            verts.append([float(x) for x in parts])
+        except ValueError as exc:
+            raise cli.ParseError(str(exc), line=lineno)
+    return verts
+
+
+def parse_outcome(parse, text):
+    try:
+        return np.asarray(parse(text), dtype=float).reshape(-1, 3).tobytes()
+    except cli.ParseError as exc:
+        return (str(exc), exc.line)
+
+
+class TestVertexText:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.floats(allow_nan=False, width=64)] * 3), max_size=20),
+        st.sampled_from([" ", "\t", "  "]),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_fast_path_bit_identical(self, rows, space, newline, blank):
+        lines = [space.join(map(repr, row)) for row in rows]
+        if blank:
+            lines.insert(len(lines) // 2, "")
+        text = newline.join(lines) + newline
+        assert parse_outcome(cli._parse_vertex_text, text) == parse_outcome(
+            reference_vertices, text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("0 0 0\n1 2\n", 2),
+        ("0 0 0 1\n2 3\n", 1),
+        ("0 0 0\n1 2 x\n", 2),
+        ("# header\n0 0 0\n1 2 3 # ok\n1 2\n", 4),
+        ("0 0 0\n\n\n1 2 3 4\n", 4),
+        ("0 0 0\r\n1 1 1\r\n1 2 q\r\n", 3),
+        ("0 0 0\n1_0 0 0\n1__0 0 0\n", 3),
+        ("0 0 0\n1 1 1\nnan 0\n", 3),
+    ])
+    def test_errors_keep_line_numbers(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(cli.ParseError) as err:
+            cli.read_polygonal(str(path))
+        assert err.value.line == line
+        assert parse_outcome(cli._parse_vertex_text, text) == parse_outcome(
+            reference_vertices, text)
+
+    @pytest.mark.parametrize("text", [
+        "0 0 0\n1_0 0 0\n", "0 0 0\r\n\r\n1e3 -2 +3\r\n", "", "0 0 0\n",
+        "0 0 0\nnan 1 1\n", "0 0 0\ninf 1 1\n",
+    ])
+    def test_valid_tokens_match_line_by_line(self, text):
+        assert parse_outcome(cli._parse_vertex_text, text) == parse_outcome(
+            reference_vertices, text)
+
+    def test_nan_coordinate_rejected_without_line(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0 0 0\nnan 1 1\n")
+        with pytest.raises(cli.ParseError, match="non-finite") as err:
+            cli.read_polygonal(str(path))
+        assert err.value.line is None
 
 
 class TestParsing:
@@ -165,6 +332,19 @@ class TestAnalyze:
         code, report = run(["analyze", str(path)], capsys)
         assert code == 2
         assert report["status"] == "error"
+
+    def test_two_segments_have_no_torsion(self, tmp_path, capsys):
+        # one binormal: the polar is a point, like a planar polygonal's
+        path = tmp_path / "two.txt"
+        path.write_text("0 0 0\n1 0 0\n1 1 0\n")
+        out = tmp_path / "o"
+        code, report = run(["analyze", str(path), "--out", str(out)], capsys)
+        assert code == 0
+        assert report["tat"] == 0.0
+        assert report["binormal"] == "planar: polar degenerates to a point"
+        assert sorted(report["files"]) == ["normal", "tantrix"]
+        last = (out / "normal.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(PI / 2)
 
     def test_projective_csv_has_sheet_column(self, staircase_file, tmp_path, capsys):
         out = tmp_path / "o2"

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,54 @@ class TestFrenetOde:
         # linear interpolation between the nodes misses by 5e-9 on [0, 0.9]
         assert np.max(err[s <= 0.9]) < 1e-10
         assert np.max(err) < 1e-7
+
+
+class TestProfileValues:
+    """Frenet-ODE profiles are called once per array when they accept one."""
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def profile(s):
+            calls.append(np.shape(s))
+            return fn(s)
+
+        return profile, calls
+
+    def test_array_profile_called_once_per_query(self):
+        k, k_calls = self.counted(lambda s: 1.0 + s * s)
+        tau, tau_calls = self.counted(lambda s: 1.0 / (1.5 - s))
+        c = frenet_ode_curve(k, tau, (0.0, 1.0), step=1e-2)
+        c.frame(np.linspace(0.0, 1.0, 257))
+        # one call on the integrator's nodes and Gauss points, one per frame query
+        assert k_calls == [(301,), (257,)]
+        assert tau_calls == [(301,), (257,)]
+
+    def test_array_and_pointwise_profiles_agree_bit_for_bit(self):
+        # float() refuses an array, so the second curve takes the per-point path
+        fast = frenet_ode_curve(lambda s: 1.0 + s * s, lambda s: 1.0 / (1.5 - s),
+                                (0.0, 1.0), step=1e-2)
+        slow = frenet_ode_curve(lambda s: 1.0 + float(s) ** 2,
+                                lambda s: 1.0 / (1.5 - float(s)), (0.0, 1.0), step=1e-2)
+        s = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(fast.eval(s), slow.eval(s))
+        for a, b in zip(fast.frame(s), slow.frame(s)):
+            assert np.array_equal(a, b)
+
+    def test_python_branching_profile(self):
+        step = frenet_ode_curve(lambda s: 1.0, lambda s: 0.0 if s < 0.5 else 1.0,
+                                (0.0, 1.0), step=1e-2)
+        _, _, _, k, tau = step.frame(np.array([0.25, 0.75]))
+        assert k.tolist() == [1.0, 1.0]
+        assert tau.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("tau", [lambda s: 1.0 / (1.0 - s), lambda s: np.log(1.0 - s)])
+    def test_pole_raises_blowup_without_warnings(self, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUp, match="not finite at s = 1.0"):
+                frenet_ode_curve(lambda s: 1.0, tau, (0.0, 1.0))
 
 
 class TestFrameAt:

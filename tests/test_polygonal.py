@@ -212,6 +212,15 @@ class TestBinormalIndicatrix:
         with pytest.raises(ZeroTorsion):
             binormal_indicatrix(zigzag)
 
+    def test_two_segments_raise_zero_torsion(self):
+        # one binormal and no torsion angle: TAT = 0, as for planar input
+        P = sanitize(Polygonal3(np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0]])))
+        assert P.frenet.tat == 0.0
+        with pytest.raises(ZeroTorsion):
+            polar_curve(P)
+        with pytest.raises(ZeroTorsion):
+            binormal_indicatrix(P)
+
 
 class TestMeasures:
     def test_staircase(self, staircase):
