@@ -287,17 +287,18 @@ def cmd_analyze(args, report):
     }
     sched = normal_schedule(P)
     report["schedule"] = {"C": sched.C.tolist(), "T": sched.T.tolist()}
-    files = report["files"] = {}
-    files["tantrix"] = write_indicatrix_csv(os.path.join(args.out, "tantrix.csv"), tantrix(P))
+    # build every indicatrix before writing any, so a failure leaves no file
+    curves = {"tantrix": tantrix(P)}
     try:
-        files["binormal"] = write_indicatrix_csv(
-            os.path.join(args.out, "binormal.csv"), binormal_indicatrix(P)
-        )
+        curves["binormal"] = binormal_indicatrix(P)
     except ZeroTorsion:
         report["binormal"] = "planar: polar degenerates to a point"
-    files["normal"] = write_indicatrix_csv(
-        os.path.join(args.out, "normal.csv"), normal_indicatrix(P)
-    )
+    if fr.tc + fr.tat > 0:
+        curves["normal"] = normal_indicatrix(P)
+    else:
+        report["normal"] = "straight: TC + TAT vanishes"
+    report["files"] = {name: write_indicatrix_csv(os.path.join(args.out, f"{name}.csv"), c)
+                       for name, c in curves.items()}
     return EXIT_OK
 
 

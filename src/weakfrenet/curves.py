@@ -176,13 +176,10 @@ def inflection_curve():
 
 def polyline_curve(P):
     """A polygonal as a unit-speed ParamCurve (fixed point of refinement)."""
-    verts = P.vertices
-    if P.closed:
-        verts = np.vstack([verts, verts[:1]])
-    lens = np.linalg.norm(np.diff(verts, axis=0), axis=1)
-    if np.any(lens <= 0):
+    if np.any(P.segment_lengths <= 0):
         raise DegeneratePolygonal("zero-length segment")
-    knots = np.concatenate([[0.0], np.cumsum(lens)])
+    verts = P.vertex_ring()
+    knots = P.arclength_of_vertices()
 
     def position(s):
         s = np.asarray(s, dtype=float)

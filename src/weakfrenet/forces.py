@@ -77,17 +77,18 @@ def curvature_force(obj, n_density=2048, corners=()):
     """Distributional derivative of the tangent: atoms t_{i+1} - t_i at the
     corners, density k n on smooth arcs.
 
-    Polygonal input gives a purely atomic measure on the arc-length domain;
+    Polygonal input gives a purely atomic measure on the arc-length domain,
+    from its tangents (a point of return gets -2t, of norm 2 sin(pi/2));
     a ParamCurve with an analytic frame gives the sampled density, plus one
     atom per entry of `corners` (parameters of tangent jumps of a piecewise
     smooth curve, with one-sided tangents from the first derivative).
     """
     if isinstance(obj, Polygonal3):
-        fr = obj.frenet
+        t = obj.tangents
         cum = obj.arclength_of_vertices()
         # junction j sits at vertex nxt[j], arc length cum[j + 1]
         j, nxt = obj.junctions()
-        jumps = fr.tangents[nxt] - fr.tangents[j]
+        jumps = t[nxt] - t[j]
         return VectorMeasure(
             (0.0, float(cum[-1])),
             "arclength",

@@ -18,7 +18,7 @@ from .sphere import (
     GeodesicPolyline,
     fold_angle,
     lift_signs,
-    split_long_arcs,
+    split_arcs,
     unit,
 )
 
@@ -46,7 +46,8 @@ class Polygonal3:
     segment i is vertex junction i, from vertex i to vertex nxt[i].
     return_points lists vertex indices where the direction reverses exactly;
     sanitize() fills it in.  Vertices are never written in place, so the
-    discrete Frenet data is computed once, on first access to `frenet`.
+    segment table (segment_vectors, segment_lengths, tangents) and the
+    discrete Frenet data are each computed once, on first access.
     """
 
     vertices: np.ndarray
@@ -66,31 +67,43 @@ class Polygonal3:
     def n_segments(self):
         return _junctions(self.n_vertices, self.closed)[0].size
 
-    def segment_vectors(self):
-        j, nxt = _junctions(self.n_vertices, self.closed)
-        return self.vertices[nxt] - self.vertices[j]
-
     def junctions(self):
         """(j, nxt) of the segments: junction j joins segment j to segment
         nxt[j], at vertex nxt[j]."""
         return _junctions(self.n_segments, self.closed)
 
+    def vertex_ring(self):
+        """The vertices in order along P, the first one again at the end
+        when P is closed: segment i runs from row i to row i + 1."""
+        return self.vertices[np.r_[0, _junctions(self.n_vertices, self.closed)[1]]]
+
+    @cached_property
+    def segment_vectors(self):
+        return np.diff(self.vertex_ring(), axis=0)
+
+    @cached_property
     def segment_lengths(self):
-        return np.linalg.norm(self.segment_vectors(), axis=1)
+        return np.linalg.norm(self.segment_vectors, axis=1)
+
+    @cached_property
+    def tangents(self):
+        """Unit segment directions, points of return included."""
+        lens = self.segment_lengths
+        if np.any(lens <= 0):
+            raise DegeneratePolygonal("zero-length segment; sanitize first")
+        return self.segment_vectors / lens[:, None]
 
     @property
     def length(self):
-        return float(np.sum(self.segment_lengths()))
+        return float(np.sum(self.segment_lengths))
 
     @property
     def mesh(self):
-        return float(np.max(self.segment_lengths()))
+        return float(np.max(self.segment_lengths))
 
     def arclength_of_vertices(self):
-        """Arc length along P at each vertex (closed: plus the total at the
-        wrap, so the array has n_segments + 1 entries)."""
-        lens = self.segment_lengths()
-        return np.concatenate([[0.0], np.cumsum(lens)])
+        """Arc length along P at each row of vertex_ring()."""
+        return np.concatenate([[0.0], np.cumsum(self.segment_lengths)])
 
     @cached_property
     def frenet(self):
@@ -107,25 +120,11 @@ def _row_products(rows, a, b):
     return cross, np.linalg.norm(cross, axis=1), np.sum(u * w, axis=1)
 
 
-def _junction_flags(verts, closed):
-    """Per segment junction j: 0 bend, 1 aligned same-direction, -1
-    reversal.  Returns (flags, nxt): flag j refers to vertex nxt[j]."""
-    j, nxt = _junctions(verts.shape[0], closed)
-    seg = verts[nxt] - verts[j]
-    j, nxt = _junctions(seg.shape[0], closed)
-    _, cr, dots = _row_products(seg, j, nxt)
-    lens = np.linalg.norm(seg, axis=1)
-    flags = np.zeros(j.size, dtype=int)
-    aligned = cr <= EPS_ALIGN * (lens[j] * lens[nxt])
-    flags[aligned & (dots > 0)] = 1
-    flags[aligned & (dots <= 0)] = -1
-    return flags, nxt
-
-
 def sanitize(P):
     """Drop zero-length segments, merge runs of aligned same-direction
-    segments, and flag exact reversals as points of return."""
-    verts = np.atleast_2d(np.asarray(P.vertices, dtype=float))
+    segments, and flag exact reversals as points of return.  The segment
+    table of the last pass is the returned polygonal's own."""
+    verts = P.vertices
     closed = P.closed
     scale = max(float(np.max(np.ptp(verts, axis=0), initial=0.0)), 1.0)
     eps_len = 1e-12 * scale
@@ -145,39 +144,44 @@ def sanitize(P):
             raise DegeneratePolygonal(
                 "fewer than %d vertices survive sanitation" % min_verts
             )
-        flags, nxt = _junction_flags(verts, closed)
-        merge = nxt[flags == 1]
+        # segments aligned at junction j (vertex nxt[j]) merge when they
+        # run the same way; otherwise nxt[j] is a point of return
+        out = Polygonal3(verts, closed=closed)
+        j, nxt = out.junctions()
+        _, cr, dots = _row_products(out.segment_vectors, j, nxt)
+        lens = out.segment_lengths
+        aligned = cr <= EPS_ALIGN * (lens[j] * lens[nxt])
+        merge = nxt[aligned & (dots > 0)]
         if not merge.size:
             break
         verts = np.delete(verts, merge, axis=0)
     else:
         raise DegeneratePolygonal("sanitation did not stabilize")
 
-    returns = tuple(sorted(nxt[flags == -1].tolist()))
-    return Polygonal3(verts, closed=closed, return_points=returns)
+    returns = tuple(sorted(nxt[aligned & (dots <= 0)].tolist()))
+    return Polygonal3(verts, closed=closed, return_points=returns) if returns else out
 
 
 @dataclass(frozen=True)
 class DiscreteFrenetData:
-    """Tangents, binormals and the three torsion/curvature totals of a
-    sanitized polygonal.
+    """Binormals, turning and torsion angles and the three totals of a
+    sanitized polygonal, and its cumulative tables, computed on first use.
 
     Index conventions (0-based; m segments, n_junc junctions, and
     (j, nxt) = P.junctions(), the segment junctions of _junctions):
-      * tangents[i] is the direction of segment i;
       * binormals[j] and turning_angles[j] belong to junction j, which joins
         segments j and nxt[j] at vertex nxt[j];
       * torsion_angles[k] sits on segment S[k] of torsion_segments
-        S = arange(m - n_junc, n_junc) (open: 1..m-2; closed: 0..m-1) and
-        pairs binormals S[k] - 1 and S[k], the junctions at its two ends.
+        S = arange(skip, n_junc) (open: 1..m-2; closed: 0..m-1) and pairs
+        binormals S[k] - 1 and S[k], the junctions at its two ends.
     """
 
-    tangents: np.ndarray
     binormals: np.ndarray
     turning_angles: np.ndarray
     torsion_angles: np.ndarray
     torsion_segments: np.ndarray
     binormal_gaps: np.ndarray  # full sphere distance between paired binormals
+    skip: int  # m - n_junc: 1 open (segment 0 has no binormal before it), 0 closed
 
     @property
     def tc(self):
@@ -191,6 +195,25 @@ class DiscreteFrenetData:
     def ct(self):
         return float(np.sum(self.binormal_gaps))
 
+    @cached_property
+    def cum_turning(self):
+        """C: cumulative turning, the tantrix's cum_length; C[-1] = TC."""
+        return np.concatenate([[0.0], np.cumsum(self.turning_angles)])
+
+    @cached_property
+    def cum_torsion(self):
+        """T, indexed like C: cumulative unsigned torsion, at 0 until an open
+        polygonal's first torsion angle; T[skip:] is the polar's cum_length."""
+        tor = np.cumsum(np.abs(self.torsion_angles))
+        return np.concatenate([np.zeros(self.skip + 1), tor])
+
+    @cached_property
+    def lifted_binormals(self):
+        """The binormals S[0] - 1, S[0], ..., S[-1] that the torsion angles
+        pair, lifted continuously to S^2: the polar's vertices."""
+        rows = np.arange(self.skip - 1, self.binormals.shape[0])
+        return lift_signs(self.binormals[rows], on_ambiguous="keep")
+
 
 def discrete_frenet(P):
     """Discrete Frenet data of a sanitized polygonal with no return points."""
@@ -198,38 +221,33 @@ def discrete_frenet(P):
         raise DegeneratePolygonal(
             "return points present; use the weak-limit geodesic-choice path"
         )
-    segs = P.segment_vectors()
-    lens = np.linalg.norm(segs, axis=1)
-    if np.any(lens <= 0):
-        raise DegeneratePolygonal("zero-length segment; sanitize first")
-    t = segs / lens[:, None]
+    t = P.tangents
     j, nxt = P.junctions()
     cross, cross_norm, dots = _row_products(t, j, nxt)
     alpha = np.arctan2(cross_norm, dots)
 
     binormals = np.zeros((j.size, 3))
     defined = cross_norm > EPS_ALIGN
-    reversal = (~defined) & (dots < 0)
-    if np.any(reversal):
+    if np.any(~defined & (dots < 0)):
         raise DegeneratePolygonal("exact reversal junction; sanitize first")
     binormals[defined] = cross[defined] / cross_norm[defined, None]
     if not np.all(defined):
         binormals = _fill_undefined_binormals(binormals, defined)
 
-    S = np.arange(t.shape[0] - j.size, j.size)
+    skip = t.shape[0] - j.size
+    S = np.arange(skip, j.size)
     cb, cb_norm, d = _row_products(binormals, S - 1, S)
     full = np.arctan2(cb_norm, d)
-    folded = fold_angle(full)
     sign = np.sign(np.sum(cb * t[S], axis=1))
-    theta = np.where(cb_norm > EPS_ALIGN, sign * folded, 0.0)
+    theta = np.where(cb_norm > EPS_ALIGN, sign * fold_angle(full), 0.0)
 
     return DiscreteFrenetData(
-        tangents=t,
         binormals=binormals,
         turning_angles=alpha,
         torsion_angles=theta,
         torsion_segments=S,
         binormal_gaps=full,
+        skip=skip,
     )
 
 
@@ -246,10 +264,8 @@ def _fill_undefined_binormals(binormals, defined):
 def tantrix(P):
     """Tangent indicatrix: spherical polyline through the segment directions.
     Its length is the total curvature of P."""
-    fr = P.frenet
-    pts = fr.tangents[np.r_[0, P.junctions()[1]]]
-    cum = np.concatenate([[0.0], np.cumsum(fr.turning_angles)])
-    return GeodesicPolyline(pts, "sphere", cum)
+    cum = P.frenet.cum_turning
+    return GeodesicPolyline(P.tangents[np.r_[0, P.junctions()[1]]], "sphere", cum)
 
 
 def polar_curve(P):
@@ -259,10 +275,7 @@ def polar_curve(P):
     if P.n_segments < 3:
         # at most one binormal: no torsion angle, TAT = 0
         raise ZeroTorsion("fewer than 3 segments: the polar degenerates to a point")
-    S = fr.torsion_segments
-    reps = fr.binormals[np.r_[S[0] - 1, S]]
-    cum = np.concatenate([[0.0], np.cumsum(np.abs(fr.torsion_angles))])
-    return GeodesicPolyline(lift_signs(reps, on_ambiguous="keep"), "projective", cum)
+    return GeodesicPolyline(fr.lifted_binormals, "projective", fr.cum_torsion[fr.skip:])
 
 
 def binormal_indicatrix(P):
@@ -303,7 +316,7 @@ def polygonal_measures(P):
     fr = P.frenet
     twisted = fr.torsion_angles != 0.0
     segments = fr.torsion_segments[twisted]
-    lengths = P.segment_lengths()[segments]
+    lengths = P.segment_lengths[segments]
     return PolygonalMeasures(
         atom_vertices=P.junctions()[1],
         atom_angles=fr.turning_angles,
@@ -328,13 +341,7 @@ class ScheduleTable:
 
 def normal_schedule(P):
     fr = P.frenet
-    alpha = fr.turning_angles
-    theta = np.abs(fr.torsion_angles)
-    C = np.concatenate([[0.0], np.cumsum(alpha)])
-    # open: torsion starts on the second segment, so both first entries stall
-    stalls = np.zeros(fr.tangents.shape[0] - alpha.size + 1)
-    T = np.concatenate([stalls, np.cumsum(theta)])
-    return ScheduleTable(C=C, T=T)
+    return ScheduleTable(C=fr.cum_turning, T=fr.cum_torsion)
 
 
 # arc pieces are kept clearly below pi/2 so projective invariants hold
@@ -342,29 +349,23 @@ _MAX_PIECE = 1.5
 
 
 def _interleave_arrays(P):
-    """Breakpoint tables of the interleaved schedule.
-
-    Returns (durations, t_pts, b_pts): the alternating event durations and
-    the tangent/binormal values at the event boundaries (one more breakpoint
-    than events).  At each boundary the two values are orthogonal.  Junction
-    j gives two events: Gamma_j on segment j (the binormal turns into b_j),
-    then gamma_j at the junction (the tangent turns to t_nxt[j]).  An open
-    polygonal's Gamma_0 has no binormal before it; it is empty and dropped.
-    Raises DegeneratePolygonal when TC + TAT vanishes.
-    """
+    """(durations, params, t_pts, b_pts) of the interleaved schedule: the
+    alternating event durations, the parameters [0, cumsum(durations)] of
+    the event boundaries, and the orthogonal tangent/binormal values there,
+    read from the tantrix's and the polar's vertices.  Junction j gives two
+    events: Gamma_j on segment j (the binormal turns into b_j), then gamma_j
+    at the junction (the tangent turns to t_nxt[j]).  An open polygonal's
+    Gamma_0 has no binormal before it; it is empty and dropped.  Raises
+    DegeneratePolygonal when TC + TAT vanishes."""
     fr = P.frenet
-    j, nxt = P.junctions()
-    skip = fr.tangents.shape[0] - j.size
-    tor = np.zeros(fr.tangents.shape[0])
-    tor[fr.torsion_segments] = np.abs(fr.torsion_angles)
-    dur = np.column_stack([tor[j], fr.turning_angles]).ravel()[skip:]
-    if float(np.sum(dur)) <= 0:
+    if fr.tc + fr.tat <= 0:
         raise DegeneratePolygonal("TC + TAT vanishes")
+    tor = np.concatenate([np.zeros(fr.skip), np.abs(fr.torsion_angles)])
+    dur = np.column_stack([tor, fr.turning_angles]).ravel()[fr.skip:]
     # the tangent holds through each Gamma_j, the binormal through each gamma_j
-    t_pts = np.repeat(fr.tangents[np.r_[0, nxt]], 2, axis=0)[:-1]
-    B = lift_signs(fr.binormals[np.r_[skip - 1, j]], on_ambiguous="keep")
-    b_pts = np.repeat(B, 2, axis=0)[1:]
-    return dur, t_pts[skip:], b_pts[skip:]
+    t_pts = np.repeat(tantrix(P).points, 2, axis=0)[:-1][fr.skip:]
+    b_pts = np.repeat(fr.lifted_binormals, 2, axis=0)[1 - fr.skip:]
+    return dur, np.concatenate([[0.0], np.cumsum(dur)]), t_pts, b_pts
 
 
 def interleaved_pair(P):
@@ -372,11 +373,9 @@ def interleaved_pair(P):
     moves at unit speed at a.e. parameter, and their representatives stay
     orthogonal.  Stored through sphere lifts, with the schedule parameters
     (stalls included) as cum_length."""
-    dur, t_pts, b_pts = _interleave_arrays(P)
-    params = np.concatenate([[0.0], np.cumsum(dur)])
-    t_path = GeodesicPolyline(t_pts, "projective", params)
-    b_path = GeodesicPolyline(b_pts, "projective", params)
-    return t_path, b_path
+    _, params, t_pts, b_pts = _interleave_arrays(P)
+    return (GeodesicPolyline(t_pts, "projective", params),
+            GeodesicPolyline(b_pts, "projective", params))
 
 
 def normal_indicatrix(P):
@@ -387,11 +386,11 @@ def normal_indicatrix(P):
     construction vertices whose two adjoining schedule arcs are both
     nondegenerate (where the turning angle is pi/2).
     """
-    dur, t_pts, b_pts = _interleave_arrays(P)
-    pts, cum = split_long_arcs(unit(np.cross(b_pts, t_pts)), _MAX_PIECE, dur)
+    dur, params, t_pts, b_pts = _interleave_arrays(P)
+    pts, cum = split_arcs(unit(np.cross(b_pts, t_pts)), _MAX_PIECE, dur, params)
     curve = GeodesicPolyline(pts, "projective", cum)
     inner = (dur[:-1] > 0.0) & (dur[1:] > 0.0)
-    curve.schedule_junctions = np.cumsum(dur)[:-1][inner]
+    curve.schedule_junctions = params[1:-1][inner]
     curve.schedule_junction_durations = np.column_stack(
         [dur[:-1][inner], dur[1:][inner]]
     )

@@ -320,7 +320,11 @@ def split_long_arcs(points, max_len=MAX_PROJ_ARC, lengths=None):
     if lengths is None:
         lengths = sphere_distance(points[:-1], points[1:])
     lengths = np.asarray(lengths, dtype=float)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    return split_arcs(points, max_len, lengths, np.concatenate([[0.0], np.cumsum(lengths)]))
+
+
+def split_arcs(points, max_len, lengths, cum):
+    """split_long_arcs with the arc lengths and cum = [0, cumsum(lengths)] given."""
     extra = np.where(lengths > max_len, np.ceil(lengths / max_len) - 1, 0).astype(int)
     arc = np.repeat(np.arange(extra.size), extra)  # split arc of each new point
     first = np.repeat(np.cumsum(extra) - extra, extra)  # its first new point

@@ -83,12 +83,10 @@ class RefinementSequence:
 
 def _level_params(curve, n, rng=None, parent=None):
     a, b = curve.domain
-    if rng is None:
+    if rng is None or parent is None:
         return np.linspace(a, b, n + 1)
     # randomized nested refinement: keep the parent's params, split each cell
     # at a random interior point
-    if parent is None:
-        return np.linspace(a, b, n + 1)
     mids = parent[:-1] + np.diff(parent) * rng.uniform(0.35, 0.65, size=len(parent) - 1)
     return np.sort(np.concatenate([parent, mids]))
 
@@ -197,8 +195,7 @@ def _tantrix_with_policy(P, return_dir):
     return_dir orthogonal to the incoming tangent."""
     if not P.return_points:
         return tantrix(P)
-    segs = P.segment_vectors()
-    t = segs / np.linalg.norm(segs, axis=1)[:, None]
+    t = P.tangents
     j, nxt = P.junctions()
     ta, tb = t[j], t[nxt]
     ret = np.flatnonzero(np.isin(nxt, P.return_points))

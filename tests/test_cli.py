@@ -346,6 +346,21 @@ class TestAnalyze:
         last = (out / "normal.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(PI / 2)
 
+    @pytest.mark.parametrize("text", ["0 0 0\n1 0 0\n", "0 0 0\n1 0 0\n2 0 0\n"])
+    def test_straight_line_has_no_normal(self, text, tmp_path, capsys):
+        # sanitize merges the collinear input into one segment: TC = TAT = 0
+        path = tmp_path / "line.txt"
+        path.write_text(text)
+        out = tmp_path / "o"
+        code, report = run(["analyze", str(path), "--out", str(out)], capsys)
+        assert code == 0
+        assert report["status"] == "ok"
+        assert report["tc"] == report["tat"] == 0.0
+        assert report["binormal"] == "planar: polar degenerates to a point"
+        assert report["normal"] == "straight: TC + TAT vanishes"
+        assert sorted(report["files"]) == ["tantrix"]
+        assert sorted(os.listdir(out)) == ["tantrix.csv"]
+
     def test_projective_csv_has_sheet_column(self, staircase_file, tmp_path, capsys):
         out = tmp_path / "o2"
         run(["analyze", staircase_file, "--out", str(out)], capsys)
@@ -509,6 +524,20 @@ class TestForcesCmd:
         assert code == 0
         assert "files" not in report
         assert not (tmp_path / "new").exists()
+
+    def test_return_point_atom(self, tmp_path, capsys):
+        # vertex 2 reverses the direction: its atom is -2t, of norm 2 sin(pi/2)
+        path = tmp_path / "ret.txt"
+        path.write_text("0 0 0\n1 0 0\n0 0 0\n0 1 0\n")
+        code, report = run(["forces", "--input", str(path)], capsys)
+        assert code == 0
+        table = report["curvature_force"]
+        assert table["atoms"] == [
+            {"param": 1.0, "weight": [-2.0, 0.0, 0.0], "norm": 2.0},
+            {"param": 2.0, "weight": [1.0, 1.0, 0.0], "norm": np.sqrt(2)},
+        ]
+        assert table["tc_star"] == pytest.approx(2 + np.sqrt(2))
+        assert table["tc"] == pytest.approx(PI + PI / 2)
 
     def test_line_empty_tables(self, tmp_path, capsys):
         path = tmp_path / "line.txt"

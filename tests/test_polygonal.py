@@ -5,6 +5,7 @@ from conftest import random_polygonal
 from weakfrenet.curves import make_curve
 from weakfrenet.errors import DegeneratePolygonal, SearchFailed, ZeroTorsion
 from weakfrenet.forces import curvature_force
+from weakfrenet import polygonal
 from weakfrenet.polygonal import (
     Polygonal3,
     _fill_undefined_binormals,
@@ -22,9 +23,12 @@ from weakfrenet.polygonal import (
 )
 from weakfrenet.sphere import (
     fold_angle,
+    lift_signs,
     proj_distance,
     slerp,
     sphere_distance,
+    split_long_arcs,
+    unit,
 )
 from weakfrenet.weak import refine
 
@@ -111,18 +115,54 @@ class TestDiscreteFrenet:
             with pytest.raises(DegeneratePolygonal):
                 P.frenet
 
-    def test_one_pass_per_polygonal(self, frenet_calls):
+    def test_one_pass_per_polygonal(self, frenet_calls, monkeypatch):
         P = sanitize(
             Polygonal3([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 1, 2]])
         )
-        tantrix(P)
-        binormal_indicatrix(P)
-        polygonal_measures(P)
-        normal_schedule(P)
-        normal_indicatrix(P)
-        interleaved_pair(P)
-        curvature_force(P)
+        lifts, sums = [], []
+        lift, cumsum = polygonal.lift_signs, np.cumsum
+        monkeypatch.setattr(
+            polygonal, "lift_signs", lambda *a, **kw: lifts.append(a) or lift(*a, **kw)
+        )
+        monkeypatch.setattr(
+            np, "cumsum", lambda x, *a, **kw: sums.append(np.copy(x)) or cumsum(x, *a, **kw)
+        )
+        for _ in range(2):
+            tantrix(P)
+            binormal_indicatrix(P)
+            polygonal_measures(P)
+            normal_schedule(P)
+            normal_indicatrix(P)
+            interleaved_pair(P)
+            curvature_force(P)
+        fr = P.frenet
         assert len(frenet_calls) == 1 and frenet_calls[0] is P
+        assert len(lifts) == 1
+        # one cumulative table each of int k and int |tau|, shared by the builders
+        assert sum(np.array_equal(x, fr.turning_angles) for x in sums) == 1
+        assert sum(np.array_equal(x, np.abs(fr.torsion_angles)) for x in sums) == 1
+        assert tantrix(P).cum_length is normal_schedule(P).C
+        assert normal_schedule(P).T is fr.cum_torsion
+        assert np.shares_memory(polar_curve(P).cum_length, fr.cum_torsion)
+        assert polar_curve(P).points is fr.lifted_binormals
+
+    def test_segment_table_computed_once(self):
+        P = sanitize(Polygonal3([[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 1, 1]]))
+        # sanitize's last pass is the table the polygonal keeps
+        assert {"segment_vectors", "segment_lengths"} <= set(vars(P))
+        assert P.segment_vectors is P.segment_vectors
+        assert P.tangents is P.tangents
+        assert P.length == 4.0 and P.mesh == 2.0
+        assert np.array_equal(P.arclength_of_vertices(), [0.0, 2.0, 3.0, 4.0])
+
+    def test_tangents_at_a_return_point(self):
+        P = sanitize(Polygonal3([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 0]]))
+        assert P.return_points == (1,)
+        assert np.array_equal(P.tangents, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]])
+        with pytest.raises(DegeneratePolygonal):
+            P.frenet
+        atoms = curvature_force(P).atoms
+        assert atoms[0][0] == 1.0 and np.array_equal(atoms[0][1], [-2.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("verts, binormals", [
         # leading run: the straight vertex 1 copies the first defined binormal
@@ -361,6 +401,115 @@ class TestNormalIndicatrix:
                 if min(d_in, d_out) > 1e-7:
                     turn = turning_angle_at(n, float(param))
                     assert turn == pytest.approx(PI / 2, abs=1e-6)
+
+
+def per_builder_tables(P):
+    """The builders' arrays by the formulas each builder used when it
+    derived its own tables: segments and tangents from the vertex ring,
+    every cumulative sum and binormal lift redone per builder."""
+    fr = P.frenet
+    alpha, theta, S = fr.turning_angles, fr.torsion_angles, fr.torsion_segments
+    verts = np.vstack([P.vertices, P.vertices[:1]]) if P.closed else P.vertices
+    segs = np.diff(verts, axis=0)
+    lens = np.linalg.norm(segs, axis=1)
+    t = segs / lens[:, None]
+    j, nxt = P.junctions()
+    C = np.concatenate([[0.0], np.cumsum(alpha)])
+    out = {"tangents": [t], "lengths": [lens], "tantrix": [t[np.r_[0, nxt]], C]}
+    if P.n_segments >= 3:
+        reps = fr.binormals[np.r_[S[0] - 1, S]]
+        out["polar"] = [lift_signs(reps, on_ambiguous="keep"),
+                        np.concatenate([[0.0], np.cumsum(np.abs(theta))])]
+    stalls = np.zeros(t.shape[0] - alpha.size + 1)
+    out["schedule"] = [C, np.concatenate([stalls, np.cumsum(np.abs(theta))])]
+    twisted = theta != 0.0
+    out["measures"] = [nxt, alpha, S[twisted], theta[twisted] / lens[S[twisted]],
+                       lens[S[twisted]]]
+    skip = t.shape[0] - j.size
+    tor = np.zeros(t.shape[0])
+    tor[S] = np.abs(theta)
+    dur = np.column_stack([tor[j], alpha]).ravel()[skip:]
+    if float(np.sum(dur)) > 0:
+        t_pts = np.repeat(t[np.r_[0, nxt]], 2, axis=0)[:-1][skip:]
+        B = lift_signs(fr.binormals[np.r_[skip - 1, j]], on_ambiguous="keep")
+        b_pts = np.repeat(B, 2, axis=0)[1:][skip:]
+        params = np.concatenate([[0.0], np.cumsum(dur)])
+        out["pair"] = [t_pts, params, b_pts, params]
+        pts, cum = split_long_arcs(unit(np.cross(b_pts, t_pts)), 1.5, dur)
+        inner = (dur[:-1] > 0.0) & (dur[1:] > 0.0)
+        out["normal"] = [pts, cum, np.cumsum(dur)[:-1][inner],
+                         np.column_stack([dur[:-1][inner], dur[1:][inner]])]
+    return out
+
+
+def builder_tables(P):
+    """The same arrays from the builders."""
+    out = {"tangents": [P.tangents], "lengths": [P.segment_lengths]}
+    tx = tantrix(P)
+    out["tantrix"] = [tx.points, tx.cum_length]
+    if P.n_segments >= 3:
+        polar = polar_curve(P)
+        out["polar"] = [polar.points, polar.cum_length]
+    sched = normal_schedule(P)
+    out["schedule"] = [sched.C, sched.T]
+    m = polygonal_measures(P)
+    out["measures"] = [m.atom_vertices, m.atom_angles, m.density_segments, m.densities,
+                       m.density_lengths]
+    if P.frenet.tc + P.frenet.tat > 0:
+        tp, bp = interleaved_pair(P)
+        out["pair"] = [tp.points, tp.cum_length, bp.points, bp.cum_length]
+        n = normal_indicatrix(P)
+        out["normal"] = [n.points, n.cum_length, n.schedule_junctions,
+                         n.schedule_junction_durations]
+    else:
+        with pytest.raises(DegeneratePolygonal, match="TC \\+ TAT vanishes"):
+            normal_indicatrix(P)
+    return out
+
+
+class TestTablesBitIdentical:
+    """The shared tables give every builder array bit for bit as the
+    per-builder formulas did."""
+
+    EDGES = [
+        ([[0, 0, 0], [1, 0, 0]], False),  # 1 segment: TC + TAT = 0
+        ([[0, 0, 0], [1, 0, 0], [1, 1, 0]], False),  # 2 segments, no torsion
+        ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]], False),  # 3 segments
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], True),  # closed, 3 segments
+        ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1]], True),
+        ([[0, 0, 0], [1, 0, 0], [2, 0, 0], [2, 1, 0], [2, 1, 1]], False),
+    ]
+
+    @staticmethod
+    def assert_same_bits(P):
+        ref, got = per_builder_tables(P), builder_tables(P)
+        assert ref.keys() == got.keys()
+        for key in ref:
+            for a, b in zip(ref[key], got[key], strict=True):
+                a, b = np.asarray(a), np.asarray(b)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+                assert a.tobytes() == b.tobytes(), key
+
+    @pytest.mark.parametrize("verts, closed", EDGES)
+    def test_edges(self, verts, closed):
+        self.assert_same_bits(sanitize(Polygonal3(verts, closed=closed)))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_random(self, rng, closed):
+        checked = 0
+        for _ in range(300):
+            m = int(rng.integers(2, 10))
+            verts = rng.uniform(-1.0, 1.0, (m, 3))
+            if rng.random() < 0.3:
+                verts = np.round(verts)  # coplanar runs, aligned and straight junctions
+            try:
+                P = sanitize(Polygonal3(verts, closed=closed))
+            except DegeneratePolygonal:
+                continue
+            if not P.return_points:
+                self.assert_same_bits(P)
+                checked += 1
+        assert checked > 150
 
 
 class TestWholeFamilyInvariants:
