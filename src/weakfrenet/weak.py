@@ -9,7 +9,7 @@ the finest level's curve together with the observed Cauchy gap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,20 +41,18 @@ N_FIT_LEVELS = 5  # finest levels the limit fit of estimate_limit uses
 
 @dataclass(frozen=True)
 class RefinementLevel:
+    """One refinement level.  Only the last two levels of a sequence, the
+    ones the weak limits read, keep their inscription and sanitized
+    polygonal; earlier levels hold None there."""
+
     n_params: int
-    inscription: Inscription
-    polygonal: Polygonal3  # sanitized
+    mesh: float
+    modulus: float
     tc: float
     tat: float
     ct: float
-
-    @property
-    def mesh(self):
-        return self.inscription.mesh
-
-    @property
-    def modulus(self):
-        return self.inscription.modulus
+    inscription: Inscription | None = None
+    polygonal: Polygonal3 | None = None  # sanitized
 
 
 @dataclass(frozen=True)
@@ -99,16 +97,16 @@ def refine(curve, levels, base_n, rng=None):
     out = []
     params = None
     for h in range(levels):
+        if len(out) >= 2:
+            out[-2] = replace(out[-2], inscription=None, polygonal=None)
         n = base_n * 2**h
         params = _level_params(curve, n, rng=rng, parent=params)
         ins = inscribe(curve, params)
         P = sanitize(ins.polygonal)
+        # return points block the discrete data; record lengths only
         fr = P.frenet if not P.return_points else None
-        if fr is None:
-            # return points block the discrete data; record lengths only
-            out.append(RefinementLevel(n, ins, P, np.nan, np.nan, np.nan))
-        else:
-            out.append(RefinementLevel(n, ins, P, fr.tc, fr.tat, fr.ct))
+        totals = (np.nan,) * 3 if fr is None else (fr.tc, fr.tat, fr.ct)
+        out.append(RefinementLevel(n, ins.mesh, ins.modulus, *totals, ins, P))
     return RefinementSequence(curve=curve, levels=tuple(out))
 
 

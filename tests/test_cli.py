@@ -52,17 +52,36 @@ def square_json(tmp_path):
     return str(path)
 
 
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.path.normpath(src)),
+    )
+    return proc.stdout
+
+
 class TestImport:
+    # the package does not use scipy at all; tests may
     def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is imported on first use of the inflection model only
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        code = ("import sys, weakfrenet.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=os.path.normpath(src)),
+        assert _scipy_modules_after("import sys, weakfrenet.cli") == "[]\n"
+
+    def test_inflection_commands_leave_scipy_unloaded(self, tmp_path):
+        code = (
+            "import contextlib, io, sys\n"
+            "from weakfrenet import cli\n"
+            "out = sys.argv[1]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['converge', '--model', 'inflection', '--levels', '3',\n"
+            "                       '--base-n', '16', '--out', out]),\n"
+            "             cli.main(['forces', '--model', 'inflection', '--levels', '3',\n"
+            "                       '--out', out])]\n"
+            "print(codes)"
         )
-        assert proc.stdout == "[]\n"
+        out = _scipy_modules_after(code, str(tmp_path))
+        assert out == f"[{cli.EXIT_NOT_CONVERGED}, {cli.EXIT_OK}]\n[]\n"
 
 
 class TestReportSanitization:

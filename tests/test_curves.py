@@ -10,6 +10,8 @@ from scipy.integrate import quad
 from weakfrenet.curves import (
     N_SUB_MODULUS,
     TURN_CERTIFIED,
+    _quartic_arc,
+    cell_integral,
     frenet_ode_curve,
     helix,
     inflection_curve,
@@ -119,6 +121,50 @@ class TestInflectionCurve:
         h = 1e-6
         fd = (c.eval(s + h) - c.eval(s - h)) / (2 * h)
         assert np.allclose(np.linalg.norm(fd, axis=1), 1.0, atol=1e-8)
+
+
+class TestCellIntegral:
+    """_quartic_arc is F(w) = int_{-pi/2}^{w} cos^2 sqrt(1 + sin^2), from
+    which the inflection's z coordinate is F(arcsin s) / sqrt(2)."""
+
+    def test_matches_mpmath(self):
+        import mpmath
+
+        F = _quartic_arc()
+        w = np.concatenate([[-PI / 2, PI / 2], F.edges[1:-1:256],
+                            np.random.default_rng(0).uniform(-PI / 2, PI / 2, 40)])
+        assert w.size >= 50
+
+        def f(t):
+            return mpmath.cos(t) ** 2 * mpmath.sqrt(1 + mpmath.sin(t) ** 2)
+
+        with mpmath.workdps(30):
+            lo = mpmath.mpf(-PI / 2)
+            ref = np.array([float(mpmath.quad(f, [lo, mpmath.mpf(x)])) for x in w])
+        assert np.max(np.abs(F(w) - ref)) <= 5e-13
+
+    def test_cell_edges_return_table_values(self):
+        F = _quartic_arc()
+        assert F.edges[0] == -PI / 2 and F.edges.size == 4097
+        assert np.array_equal(F(F.edges[:-1]), F.values[:-1])
+        assert all(F(x) == v for x, v in zip(F.edges[:-1:512], F.values[:-1:512]))
+
+    def test_shapes_and_exact_polynomial(self):
+        # both rules are exact for a cubic, so only rounding remains
+        F = cell_integral(lambda x: x**3, 0.0, 2.0, 4)
+        x = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+        assert F(x).shape == (3, 4) and np.shape(F(0.7)) == ()
+        assert np.allclose(F(x), x**4 / 4, rtol=0, atol=1e-15)
+        assert F(2.0) == pytest.approx(4.0, abs=1e-15)
+
+    def test_position_matches_spline_of_table(self):
+        from scipy.interpolate import CubicSpline
+
+        F = _quartic_arc()
+        spline = CubicSpline(F.edges, F.values)
+        s = np.linspace(-1.0, 1.0, 4001)
+        z = inflection_curve().position(s)[:, 2]
+        assert np.max(np.abs(z - spline(np.arcsin(s)) / R2)) <= 5e-13
 
 
 class TestFrenetOde:

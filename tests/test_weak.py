@@ -53,11 +53,17 @@ class TestRefine:
         moduli = [lv.modulus for lv in seq.levels]
         assert all(a > b for a, b in zip(meshes, meshes[1:]))
         assert all(a > b for a, b in zip(moduli, moduli[1:]))
+        assert [lv.n_params for lv in seq.levels] == [8, 16, 32, 64]
         # uniform dyadic levels nest: every vertex reappears one level down
-        for prev, cur in zip(seq.levels, seq.levels[1:]):
-            assert prev.inscription.polygonal.n_vertices * 2 - 1 == (
-                cur.inscription.polygonal.n_vertices
-            )
+        prev, cur = (lv.inscription.polygonal.vertices for lv in seq.levels[-2:])
+        assert np.array_equal(cur[::2], prev)
+
+    def test_only_last_two_levels_keep_polygonals(self):
+        seq = refine(helix(1.0, 2 * PI), levels=4, base_n=8)
+        assert all(lv.inscription is None and lv.polygonal is None for lv in seq.levels[:-2])
+        for lv in seq.levels[-2:]:
+            assert lv.polygonal.n_segments == lv.n_params
+            assert (lv.mesh, lv.modulus) == (lv.inscription.mesh, lv.inscription.modulus)
 
     def test_helix_tat_converges_to_torsion_integral(self):
         c = helix(1.0, 2 * PI)
@@ -80,7 +86,7 @@ class TestRefine:
             c, weak_tantrix(seq), weak_binormal(seq), weak_normal(seq)
         )
         assert len(frenet_calls) == 3
-        assert all(P is lv.polygonal for P, lv in zip(frenet_calls, seq.levels))
+        assert all(P is lv.polygonal for P, lv in zip(frenet_calls[-2:], seq.levels[-2:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,7 +140,7 @@ class TestWeakBinormal:
         import dataclasses
 
         seq = refine(polyline_curve(staircase), levels=2, base_n=8)
-        planar = dataclasses.replace(seq.levels[0], polygonal=square)
+        planar = dataclasses.replace(seq.levels[-2], polygonal=square)
         doctored = type(seq)(curve=seq.curve, levels=(planar, seq.final))
         with pytest.raises(NotConverged, match="previous level is planar"):
             weak_binormal(doctored)
