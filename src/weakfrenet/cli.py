@@ -35,7 +35,6 @@ from .polygonal import (
     nonmonotonicity_witness,
     normal_indicatrix,
     polygonal_measures,
-    normal_schedule,
     sanitize,
     tantrix,
 )
@@ -46,7 +45,9 @@ EXIT_PARSE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_SEARCH_FAILED = 4
 
-N_UNIFORM = 512  # uniform samples of an indicatrix CSV, besides its breakpoints
+# uniform samples of an indicatrix CSV besides its breakpoints, and the
+# coarsest grid of a converge CSV
+N_UNIFORM = 512
 CSV_BLOCK = 8192  # CSV rows formatted at once
 
 
@@ -131,12 +132,14 @@ def write_polygonal(path, P):
     return _write_csv(path, "# x y z", P.vertices.T, sep=" ")
 
 
-def write_indicatrix_csv(path, curve):
-    """CSV polyline: s,x,y,z (canonical representative) at N_UNIFORM uniform
-    parameters and every breakpoint; projective curves get an extra "sheet"
-    column (+-1, lift relative to the canonical rep)."""
-    s = np.linspace(0.0, curve.total_length, N_UNIFORM)
-    s = np.unique(np.concatenate([s, curve.cum_length]))
+def write_indicatrix_csv(path, curve, s=None):
+    """CSV polyline: s,x,y,z (canonical representative) at the parameters s,
+    by default at every breakpoint and N_UNIFORM uniform parameters;
+    projective curves get an extra "sheet" column (+-1, lift relative to the
+    canonical rep)."""
+    if s is None:
+        s = np.linspace(0.0, curve.total_length, N_UNIFORM)
+        s = np.unique(np.concatenate([s, curve.cum_length]))
     pts = curve.eval(s)
     if curve.space != "projective":
         return _write_csv(path, "s,x,y,z", [s, *pts.T])
@@ -285,8 +288,7 @@ def cmd_analyze(args, report):
         "curvature_mass": meas.curvature_mass,
         "torsion_mass": meas.torsion_mass,
     }
-    sched = normal_schedule(P)
-    report["schedule"] = {"C": sched.C.tolist(), "T": sched.T.tolist()}
+    report["schedule"] = {"C": fr.cum_turning.tolist(), "T": fr.cum_torsion.tolist()}
     # build every indicatrix before writing any, so a failure leaves no file
     curves = {"tantrix": tantrix(P)}
     try:
@@ -353,7 +355,8 @@ def cmd_converge(args, report):
                               f"exceeds tol {args.tol_converge:.1e}")
             return obj
         statuses[name] = "ok"
-        files[name] = write_indicatrix_csv(os.path.join(args.out, f"{name}.csv"), obj.curve)
+        files[name] = write_indicatrix_csv(os.path.join(args.out, f"{name}.csv"), obj.curve,
+                                           obj.resolution_params(N_UNIFORM))
         report[f"{name}_gap"] = obj.cauchy_gap
         if obj.warning:
             statuses[name] = f"warning: {obj.warning}"

@@ -326,24 +326,6 @@ def polygonal_measures(P):
     )
 
 
-@dataclass(frozen=True)
-class ScheduleTable:
-    """Cumulative curvature (C) and torsion (T) lengths, indexed as in the
-    interleaved construction; C[-1] = TC(P), T[-1] = TAT(P)."""
-
-    C: np.ndarray
-    T: np.ndarray
-
-    @property
-    def total(self):
-        return float(self.C[-1] + self.T[-1])
-
-
-def normal_schedule(P):
-    fr = P.frenet
-    return ScheduleTable(C=fr.cum_turning, T=fr.cum_torsion)
-
-
 # arc pieces are kept clearly below pi/2 so projective invariants hold
 _MAX_PIECE = 1.5
 

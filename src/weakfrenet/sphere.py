@@ -2,8 +2,7 @@
 
 Unit vectors are plain numpy arrays of shape (..., 3).  A point of RP^2 is
 represented by a unit vector up to sign; `canon_rep` fixes the sign
-deterministically and `ProjPoint` wraps one canonical representative.  All
-angles are radians.
+deterministically.  All angles are radians.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ from .errors import AmbiguousLift, AntipodalPair, DegenerateArc
 EPS_UNIT = 1e-12
 EPS_CANON = 1e-9
 EPS_ANTIPODAL = 1e-9
-
-# projective polyline arcs are kept at most this long so that stored arc
-# lengths agree with the quotient distance between their endpoints
-MAX_PROJ_ARC = 0.5 * np.pi
 
 N_SUP_GRID = 1024  # uniform grid of sup_distance
 
@@ -48,8 +43,8 @@ def sphere_distance(a, b):
 
 def proj_distance(p, q):
     """Quotient distance on RP^2: min of the two sphere distances, in [0, pi/2]."""
-    a = p.rep if isinstance(p, ProjPoint) else np.asarray(p, dtype=float)
-    b = q.rep if isinstance(q, ProjPoint) else np.asarray(q, dtype=float)
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(q, dtype=float)
     cross = np.cross(a, b)
     dot = np.sum(a * b, axis=-1)
     return np.arctan2(np.linalg.norm(cross, axis=-1), np.abs(dot))
@@ -72,24 +67,6 @@ def canon_rep(v):
         sign = np.where(pick, np.sign(comp), sign)
     sign = np.where(sign == 0, 1.0, sign)
     return v * sign[..., None] + 0.0  # adding 0.0 maps -0.0 to +0.0
-
-
-@dataclass(frozen=True, eq=False)
-class ProjPoint:
-    """Point of RP^2 stored through its canonical unit representative."""
-
-    rep: np.ndarray
-
-    def __init__(self, v):
-        object.__setattr__(self, "rep", canon_rep(unit(v)))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return bool(np.all(self.rep == other.rep))
-
-    def __hash__(self):
-        return hash(self.rep.tobytes())
 
 
 def _geodesic_point(a, b, theta, lam):
@@ -131,18 +108,6 @@ def arc_tangent(a, b, at_end=False):
     if at_end:
         return (cos_t * b - a) / sin_t
     return (b - cos_t * a) / sin_t
-
-
-def veronese(v):
-    """Quadratic embedding of S^2 into R^6; identifies antipodes and
-    preserves path speed.  Every image point has norm sqrt(2)/2."""
-    v = np.asarray(v, dtype=float)
-    y1, y2, y3 = v[..., 0], v[..., 1], v[..., 2]
-    h = np.sqrt(2.0) / 2.0
-    return np.stack(
-        [h * y1 * y1, h * y2 * y2, h * y3 * y3, y1 * y2, y2 * y3, y3 * y1],
-        axis=-1,
-    )
 
 
 def _eval_piecewise(points, params, s):
@@ -230,15 +195,6 @@ class GeodesicPolyline:
             turn = fold_angle(turn)
         return Corners(arc_in, arc_out, self.cum_length[arc_out], t_in, t_out, turn)
 
-    def junction_angles(self, min_arc=1e-9):
-        """Turn at each interior breakpoint whose two immediately adjacent
-        arcs are both longer than min_arc; nan elsewhere."""
-        c = self.corners(min_arc)
-        angles = np.full(max(self.n_arcs - 1, 0), np.nan)
-        adjacent = c.arc_out == c.arc_in + 1
-        angles[c.arc_in[adjacent]] = c.turn[adjacent]
-        return angles
-
     def turning_total(self, min_arc=1e-9):
         """Total turning: sum of the corner turns (stalls contribute a single
         turn).  This is the discrete total curvature of the polyline in its
@@ -305,26 +261,16 @@ def lift_projective_polyline(curve, seed):
     return GeodesicPolyline(lifted, "sphere", curve.cum_length.copy()), closure
 
 
-def split_long_arcs(points, max_len=MAX_PROJ_ARC, lengths=None):
-    """Insert slerp points so that no arc exceeds max_len; returns
+def split_arcs(points, max_len, lengths, cum):
+    """Insert slerp points so that no arc is longer than max_len; returns
     (points, cum_length).
 
-    Arc lengths are the sphere distances between consecutive points unless
-    `lengths` gives them.  An arc of length L > max_len is cut into
-    ceil(L / max_len) pieces of equal length, and cum_length is interpolated
-    linearly across it.  Required before projecting sphere polylines to RP^2:
-    a projective arc longer than pi/2 is not the minimal geodesic between
-    its endpoints.
+    `lengths` are the arc lengths and cum = [0, cumsum(lengths)].  An arc of
+    length L > max_len is cut into ceil(L / max_len) pieces of equal length,
+    and cum is interpolated linearly across it.  Needed before projecting a
+    sphere polyline to RP^2: a projective arc longer than pi/2 is not the
+    minimal geodesic between its endpoints.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if lengths is None:
-        lengths = sphere_distance(points[:-1], points[1:])
-    lengths = np.asarray(lengths, dtype=float)
-    return split_arcs(points, max_len, lengths, np.concatenate([[0.0], np.cumsum(lengths)]))
-
-
-def split_arcs(points, max_len, lengths, cum):
-    """split_long_arcs with the arc lengths and cum = [0, cumsum(lengths)] given."""
     extra = np.where(lengths > max_len, np.ceil(lengths / max_len) - 1, 0).astype(int)
     arc = np.repeat(np.arange(extra.size), extra)  # split arc of each new point
     first = np.repeat(np.cumsum(extra) - extra, extra)  # its first new point

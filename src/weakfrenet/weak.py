@@ -167,6 +167,22 @@ class WeakIndicatrix:
             raise ValueError("total must be positive")
         return self.curve.eval(s * (self.curve.total_length / total))
 
+    def resolution_params(self, n):
+        """Parameters j * L / n (L the total length, j = 0..n) of the
+        coarsest of the nested grids n, 2n, 4n, ... whose geodesic polyline
+        through the limit's samples stays within cauchy_gap / 10 of the limit
+        at every breakpoint; None when no grid with fewer intervals than the
+        limit has breakpoints does."""
+        c = self.curve
+        dist = proj_distance if c.space == "projective" else sphere_distance
+        while n < c.cum_length.size:
+            s = np.arange(n + 1) * c.total_length / n
+            grid = GeodesicPolyline(c.eval(s), c.space, s)
+            if np.max(dist(grid.eval(c.cum_length), c.points)) <= self.cauchy_gap / 10:
+                return s
+            n *= 2
+        return None
+
 
 def _limit(prev, final, warning=""):
     return WeakIndicatrix(final, sup_distance(prev, final), warning)

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakfrenet import cli
+from weakfrenet import cli, weak
+from weakfrenet.curves import make_curve
+from weakfrenet.polygonal import (
+    Polygonal3,
+    binormal_indicatrix,
+    normal_indicatrix,
+    sanitize,
+    tantrix,
+)
+from weakfrenet.sphere import GeodesicPolyline, proj_distance, sphere_distance
 
 PI = np.pi
 
@@ -508,8 +517,6 @@ class TestConverge:
         assert report["error"].startswith(params.split("=")[0] + " must")
 
     def test_each_limit_built_once(self, tmp_path, capsys, monkeypatch):
-        from weakfrenet import weak
-
         calls = {}
         for name in ("tantrix", "binormal_indicatrix", "normal_indicatrix"):
             def counted(P, _name=name, _original=getattr(weak, name)):
@@ -525,6 +532,88 @@ class TestConverge:
         assert code == 3
         assert None not in report["identities"].values()
         assert calls == {"tantrix": 2, "binormal_indicatrix": 2, "normal_indicatrix": 2}
+
+
+def read_indicatrix_csv(path):
+    """(s, points) of an indicatrix CSV; a projective CSV's points are
+    rebuilt as canon * sheet, the lift the writer sampled."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    pts = table[:, 1:4] * table[:, 4:5] if table.shape[1] == 5 else table[:, 1:4]
+    return table[:, 0], pts
+
+
+LIMITS = {"weak_tantrix": weak.weak_tantrix, "weak_binormal": weak.weak_binormal,
+          "weak_normal": weak.weak_normal}
+
+
+class TestConvergeCsvResolution:
+    """converge writes each accepted limit on the coarsest nested uniform
+    grid within a tenth of its Cauchy gap, or, failing that, in full."""
+
+    @pytest.mark.parametrize("model, tol, resampled", [
+        ("inflection", "0.05", {"weak_tantrix", "weak_binormal", "weak_normal"}),
+        ("helix", "1e-3", {"weak_tantrix", "weak_binormal"}),
+        ("blowup", "0.05", {"weak_tantrix", "weak_binormal", "weak_normal"}),
+    ])
+    def test_within_tenth_of_gap(self, tmp_path, capsys, model, tol, resampled):
+        out = tmp_path / model
+        code, report = run(["converge", "--model", model, "--levels", "8", "--base-n", "64",
+                            "--tol-converge", tol, "--out", str(out)], capsys)
+        assert code == 0
+        assert set(report["files"]) == set(LIMITS)
+        seq = weak.refine(make_curve(model), levels=8, base_n=64)
+        for name, build in LIMITS.items():
+            limit = build(seq)
+            c = limit.curve
+            assert report[f"{name}_gap"] == limit.cauchy_gap
+            s, pts = read_indicatrix_csv(report["files"][name])
+            assert s[0] == 0.0 and s[-1] == c.total_length
+            assert np.allclose(pts[[0, -1]], c.points[[0, -1]], rtol=0, atol=1e-12)
+            if name not in resampled:
+                cli.write_indicatrix_csv(str(tmp_path / "full.csv"), c)
+                assert (tmp_path / "full.csv").read_bytes() == (out / f"{name}.csv").read_bytes()
+                continue
+            n = s.size - 1
+            assert n >= cli.N_UNIFORM and n & (n - 1) == 0 and n < c.cum_length.size
+            assert np.array_equal(s, np.arange(n + 1) * c.total_length / n)
+            dist = proj_distance if c.space == "projective" else sphere_distance
+            dev = dist(GeodesicPolyline(pts, c.space, s).eval(c.cum_length), c.points)
+            assert np.max(dev) <= limit.cauchy_gap / 10
+            if n > cli.N_UNIFORM:  # the next coarser grid is not fine enough
+                coarse = GeodesicPolyline(pts[::2], c.space, s[::2])
+                assert np.max(dist(coarse.eval(c.cum_length), c.points)) > limit.cauchy_gap / 10
+
+    def test_limit_without_gap_written_in_full(self):
+        # a small circle: no grid's geodesic chords pass through every breakpoint
+        ang = np.linspace(0.0, PI, 2000)
+        pts = np.column_stack([0.6 * np.cos(ang), 0.6 * np.sin(ang), np.full_like(ang, 0.8)])
+        limit = weak.WeakIndicatrix(GeodesicPolyline(pts, "sphere"), 0.0)
+        assert limit.resolution_params(cli.N_UNIFORM) is None
+
+
+class TestWritersKeepBreakpoints:
+    def test_analyze_writes_every_breakpoint(self, tmp_path, capsys):
+        walk = np.cumsum(np.random.default_rng(3).standard_normal((40, 3)), axis=0)
+        np.savetxt(tmp_path / "walk.txt", walk, fmt="%.17g")
+        code, report = run(["analyze", str(tmp_path / "walk.txt"),
+                            "--out", str(tmp_path / "a")], capsys)
+        assert code == 0
+        P = sanitize(Polygonal3(walk))
+        for name, build in (("tantrix", tantrix), ("binormal", binormal_indicatrix),
+                            ("normal", normal_indicatrix)):
+            s, _ = read_indicatrix_csv(report["files"][name])
+            assert np.all(np.isin(build(P).cum_length, s))
+            assert s.size >= cli.N_UNIFORM
+
+    def test_lift_writes_every_point(self, tmp_path, capsys):
+        src = tmp_path / "proj.csv"
+        ang = np.linspace(0.0, 0.8 * PI, 23)
+        pts = np.column_stack([np.cos(ang), np.sin(ang), np.full_like(ang, 0.2)])
+        src.write_text("x,y,z\n" + "\n".join(",".join(map(repr, p)) for p in pts.tolist()))
+        code, report = run(["lift", str(src), "--out", str(tmp_path / "L")], capsys)
+        assert code == 0
+        s, _ = read_indicatrix_csv(report["files"]["lifted"])
+        assert s.size == ang.size
 
 
 class TestForcesCmd:

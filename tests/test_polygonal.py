@@ -14,7 +14,6 @@ from weakfrenet.polygonal import (
     interleaved_pair,
     nonmonotonicity_witness,
     normal_indicatrix,
-    normal_schedule,
     polar_curve,
     polygonal_measures,
     sanitize,
@@ -27,7 +26,7 @@ from weakfrenet.sphere import (
     proj_distance,
     slerp,
     sphere_distance,
-    split_long_arcs,
+    split_arcs,
     unit,
 )
 from weakfrenet.weak import refine
@@ -131,7 +130,6 @@ class TestDiscreteFrenet:
             tantrix(P)
             binormal_indicatrix(P)
             polygonal_measures(P)
-            normal_schedule(P)
             normal_indicatrix(P)
             interleaved_pair(P)
             curvature_force(P)
@@ -141,8 +139,7 @@ class TestDiscreteFrenet:
         # one cumulative table each of int k and int |tau|, shared by the builders
         assert sum(np.array_equal(x, fr.turning_angles) for x in sums) == 1
         assert sum(np.array_equal(x, np.abs(fr.torsion_angles)) for x in sums) == 1
-        assert tantrix(P).cum_length is normal_schedule(P).C
-        assert normal_schedule(P).T is fr.cum_torsion
+        assert tantrix(P).cum_length is fr.cum_turning
         assert np.shares_memory(polar_curve(P).cum_length, fr.cum_torsion)
         assert polar_curve(P).points is fr.lifted_binormals
 
@@ -300,29 +297,28 @@ class TestMeasures:
 
 class TestSchedule:
     def test_staircase(self, staircase):
-        s = normal_schedule(staircase)
-        assert np.allclose(s.C, [0, PI / 2, PI])
-        assert np.allclose(s.T, [0, 0, PI / 2])
-        assert s.total == pytest.approx(3 * PI / 2)
+        fr = staircase.frenet
+        assert np.allclose(fr.cum_turning, [0, PI / 2, PI])
+        assert np.allclose(fr.cum_torsion, [0, 0, PI / 2])
+        assert fr.cum_turning[-1] + fr.cum_torsion[-1] == pytest.approx(3 * PI / 2)
 
     def test_planar_zigzag(self, zigzag):
-        s = normal_schedule(zigzag)
-        assert np.all(s.T == 0.0)
+        assert np.all(zigzag.frenet.cum_torsion == 0.0)
 
     def test_closed_square(self, square):
-        s = normal_schedule(square)
-        assert np.allclose(s.C, [0, PI / 2, PI, 3 * PI / 2, 2 * PI])
-        assert np.all(s.T == 0.0)
+        fr = square.frenet
+        assert np.allclose(fr.cum_turning, [0, PI / 2, PI, 3 * PI / 2, 2 * PI])
+        assert np.all(fr.cum_torsion == 0.0)
 
     def test_monotone_with_stalls(self, rng):
         for _ in range(20):
             P = random_polygonal(rng)
-            s = normal_schedule(P)
-            assert np.all(np.diff(s.C) >= 0)
-            assert np.all(np.diff(s.T) >= 0)
-            fr = discrete_frenet(P)
-            assert s.C[-1] == pytest.approx(fr.tc, abs=1e-12)
-            assert s.T[-1] == pytest.approx(fr.tat, abs=1e-12)
+            fr = P.frenet
+            assert np.all(np.diff(fr.cum_turning) >= 0)
+            assert np.all(np.diff(fr.cum_torsion) >= 0)
+            ref = discrete_frenet(P)
+            assert fr.cum_turning[-1] == pytest.approx(ref.tc, abs=1e-12)
+            assert fr.cum_torsion[-1] == pytest.approx(ref.tat, abs=1e-12)
 
 
 class TestInterleavedPair:
@@ -435,7 +431,7 @@ def per_builder_tables(P):
         b_pts = np.repeat(B, 2, axis=0)[1:][skip:]
         params = np.concatenate([[0.0], np.cumsum(dur)])
         out["pair"] = [t_pts, params, b_pts, params]
-        pts, cum = split_long_arcs(unit(np.cross(b_pts, t_pts)), 1.5, dur)
+        pts, cum = split_arcs(unit(np.cross(b_pts, t_pts)), 1.5, dur, params)
         inner = (dur[:-1] > 0.0) & (dur[1:] > 0.0)
         out["normal"] = [pts, cum, np.cumsum(dur)[:-1][inner],
                          np.column_stack([dur[:-1][inner], dur[1:][inner]])]
@@ -450,8 +446,7 @@ def builder_tables(P):
     if P.n_segments >= 3:
         polar = polar_curve(P)
         out["polar"] = [polar.points, polar.cum_length]
-    sched = normal_schedule(P)
-    out["schedule"] = [sched.C, sched.T]
+    out["schedule"] = [P.frenet.cum_turning, P.frenet.cum_torsion]
     m = polygonal_measures(P)
     out["measures"] = [m.atom_vertices, m.atom_angles, m.density_segments, m.densities,
                        m.density_lengths]
@@ -518,8 +513,9 @@ class TestWholeFamilyInvariants:
             P = random_polygonal(rng, closed=False)
             fr = discrete_frenet(P)
             t = tantrix(P)
-            folded = fold_angle(t.junction_angles())
-            assert np.nansum(folded) == pytest.approx(fr.tat, abs=1e-9)
+            c = t.corners()
+            folded = fold_angle(c.turn[c.arc_out == c.arc_in + 1])
+            assert np.sum(folded) == pytest.approx(fr.tat, abs=1e-9)
 
     def test_rigid_motion_invariance(self, rng):
         from scipy.spatial.transform import Rotation
